@@ -63,6 +63,11 @@ class SolutionBox:
     def widths(self) -> np.ndarray:
         return self._widths
 
+    @property
+    def interior(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) that clip_interior projects onto."""
+        return self._interior_lo, self._interior_hi
+
     def contains(self, theta) -> bool:
         theta = np.asarray(theta, dtype=float)
         return bool(np.all(theta > self._lower) and np.all(theta < self._upper))

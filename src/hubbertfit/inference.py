@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -25,8 +26,6 @@ from .curve import alpha_pow
 from .errors import ConditioningError, OrderingError, ParameterDomainError
 from .likelihood import PanelData, SufficientStats
 from .process import conditional_mean
-
-from scipy.stats import norm as _norm
 
 __all__ = [
     "FitResult",
@@ -71,7 +70,7 @@ def fisher_information(theta, data) -> np.ndarray:
     v = s_t * a_s / alpha * wt - t_t * a_t / alpha * ws
 
     c = stats.pair_count
-    inv_dt = 1.0 / stats.pair_dt
+    inv_dt = stats.pair_inv_dt
     w_over_s = w / s_prod
     v_over_s = v / s_prod
     m1 = float(np.sum(c * w_over_s**2 * inv_dt))
@@ -102,12 +101,16 @@ def asymptotic_cov(info: np.ndarray, n_eff: int) -> np.ndarray:
     information divided by n_eff to get the usual total-inverse.
     """
     info = np.asarray(info, dtype=float)
+    _check_conditioning(info)
+    return np.linalg.inv(info) / n_eff
+
+
+def _check_conditioning(info: np.ndarray) -> None:
     cond = np.linalg.cond(info)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise ConditioningError(
             f"information matrix is numerically singular (cond ~ {cond:.3e})"
         )
-    return np.linalg.inv(info) / n_eff
 
 
 def delta_error(grad, cov: np.ndarray) -> float:
@@ -226,9 +229,8 @@ class Forecast:
     x_s: float
 
 
-def _cov_eta_alpha_sigma(info: np.ndarray, sigma: float) -> np.ndarray:
-    """Map the (eta, alpha, sigma^2) information inverse to (eta, alpha, sigma)."""
-    cov_v = np.linalg.inv(info)
+def _cov_eta_alpha_sigma(cov_v: np.ndarray, sigma: float) -> np.ndarray:
+    """Map the (eta, alpha, sigma^2) covariance to (eta, alpha, sigma)."""
     jac = np.diag([1.0, 1.0, 1.0 / (2.0 * sigma)])
     return jac @ cov_v @ jac
 
@@ -283,7 +285,8 @@ def forecast(
 
     Band width comes from the delta-method error of the conditional mean
     as a function of (eta, alpha); the confidence level defaults to 95%
-    and is a free choice, not something the model pins down.
+    and is a free choice, not something the model pins down.  Raises
+    ConditioningError when the fit has no finite covariance.
     """
     if not 0.0 < level < 1.0:
         raise ParameterDomainError(f"level must lie in (0, 1), got {level}")
@@ -292,11 +295,16 @@ def forecast(
         raise OrderingError("all horizon times must lie strictly after s")
     if x_s <= 0.0:
         raise ParameterDomainError("x_s must be positive")
+    if not np.all(np.isfinite(fit.cov)):
+        raise ConditioningError(
+            "the fit has no finite covariance (singular Fisher information), "
+            "so forecast bands cannot be computed"
+        )
     eta, alpha, _ = fit.theta_hat
     k = fit.time_shift_k
     s_shift = s - k
     point = conditional_mean(times - k, x_s, s_shift, eta, alpha)
-    z = float(_norm.ppf(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = np.array(
         [
             z * delta_error(conditional_mean_gradient(eta, alpha, x_s, s_shift, t), fit.cov)
@@ -339,7 +347,8 @@ def fit(
     stats = SufficientStats.from_panel(shifted)
 
     def objective(theta):
-        eta, alpha, sigma = theta
+        # Python floats: scalar arithmetic on them is cheaper than on np.float64.
+        eta, alpha, sigma = theta.tolist()
         return lik.objective(stats, eta, alpha, sigma * sigma)
 
     result = opt.multistart(
@@ -356,11 +365,11 @@ def fit(
 
     warnings = []
     info = fisher_information((eta_hat, alpha_hat, sigma_hat), stats)
-    n_eff = stats.n_transitions
     try:
-        # Unit information and /n_eff cancel into the total-information inverse.
-        asymptotic_cov(info / n_eff, n_eff)
-        cov = _cov_eta_alpha_sigma(info, sigma_hat)
+        # The guard reads the unit information, as asymptotic_cov does; the
+        # covariance is the inverse of the total information.
+        _check_conditioning(info / stats.n_transitions)
+        cov = _cov_eta_alpha_sigma(np.linalg.inv(info), sigma_hat)
     except ConditioningError as exc:
         warnings.append(str(exc))
         cov = np.full((3, 3), np.nan)

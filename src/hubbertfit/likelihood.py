@@ -32,9 +32,14 @@ __all__ = [
     "INFEASIBLE",
 ]
 
-# Objective value returned for parameter points where eta + alpha^t
-# underflows to zero; optimizers treat it as an always-rejected move.
+# Objective value returned where the data term is not finite (alpha^t
+# overflowing at negative times); optimizers treat it as an
+# always-rejected move.  eta + alpha^t itself cannot underflow to zero,
+# since eta > 0.
 INFEASIBLE = math.inf
+
+# np.sum's pairwise reduction without its Python-level dispatch.
+_sum = np.add.reduce
 
 
 @dataclass(frozen=True)
@@ -105,9 +110,10 @@ class SufficientStats:
     z3 = sum of per-path ln(x_last/x_first)
 
     pair_* arrays describe the unique (t_{j-1}, t_j) transition pairs:
-    counts, time gaps, and the per-pair sums of log-increments.  u_times
-    is the sorted union of observation times with pair_lo/pair_hi
-    indexing into it, so eta + alpha^t is evaluated once per unique time.
+    counts, time gaps and their reciprocals, and the per-pair sums of
+    log-increments.  u_times is the sorted union of observation times
+    with pair_lo/pair_hi indexing into it, so eta + alpha^t is evaluated
+    once per unique time.
     """
 
     z1: float
@@ -119,6 +125,7 @@ class SufficientStats:
     pair_lo: np.ndarray
     pair_hi: np.ndarray
     pair_dt: np.ndarray
+    pair_inv_dt: np.ndarray
     pair_count: np.ndarray
     pair_usum: np.ndarray
     log_x_first: np.ndarray
@@ -146,6 +153,7 @@ class SufficientStats:
 
         u_times, flat_idx = np.unique(uniq.ravel(), return_inverse=True)
         idx = flat_idx.reshape(n_pairs, 2)
+        pair_dt = uniq[:, 1] - uniq[:, 0]
 
         return cls(
             z1=z1,
@@ -156,7 +164,8 @@ class SufficientStats:
             u_times=u_times,
             pair_lo=idx[:, 0],
             pair_hi=idx[:, 1],
-            pair_dt=uniq[:, 1] - uniq[:, 0],
+            pair_dt=pair_dt,
+            pair_inv_dt=1.0 / pair_dt,
             pair_count=count,
             pair_usum=usum,
             log_x_first=np.log(data.initial_values()),
@@ -194,12 +203,23 @@ def _check_theta(eta: float, alpha: float) -> None:
         raise ParameterDomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _log_w(stats: SufficientStats, eta: float, alpha: float):
-    """ln(eta + alpha^t) at every unique time, or None if any term underflows."""
-    w = eta + np.exp(stats.u_times * math.log(alpha))
-    if not np.all(w > 0.0):
-        return None
-    return np.log(w)
+def _pair_sums(
+    stats: SufficientStats, eta: float, log_alpha: float
+) -> tuple[float, float, float]:
+    """(Y1, Y2, R) for a validated eta > 0 and log_alpha = ln(alpha).
+
+    The one likelihood kernel: ln(eta + alpha^t) is evaluated once per
+    unique time and T_ij once per unique transition pair.  It runs on
+    every objective evaluation.
+    """
+    lw = np.log(eta + np.exp(stats.u_times * log_alpha))
+    t_pair = lw.take(stats.pair_lo) - lw.take(stats.pair_hi)
+    count = stats.pair_count
+    inv_dt = stats.pair_inv_dt
+    y1 = float(_sum(count * t_pair**2 * inv_dt))
+    y2 = float(_sum(stats.pair_usum * t_pair * inv_dt))
+    r = float(_sum(count * t_pair))
+    return y1, y2, r
 
 
 def eta_alpha_sums(data, eta: float, alpha: float) -> tuple[float, float, float]:
@@ -209,34 +229,17 @@ def eta_alpha_sums(data, eta: float, alpha: float) -> tuple[float, float, float]
     R  = per-path telescoped sum of T_ij.
     """
     _check_theta(eta, alpha)
-    stats = _as_stats(data)
-    lw = _log_w(stats, eta, alpha)
-    if lw is None:
-        raise ParameterDomainError("eta + alpha^t underflowed to zero")
-    t_pair = lw[stats.pair_lo] - lw[stats.pair_hi]
-    y1 = float(np.sum(stats.pair_count * t_pair**2 / stats.pair_dt))
-    y2 = float(np.sum(stats.pair_usum * t_pair / stats.pair_dt))
-    r = float(np.sum(stats.pair_count * t_pair))
-    return y1, y2, r
+    return _pair_sums(_as_stats(data), eta, math.log(alpha))
 
 
 def _quadratic_bracket(
     stats: SufficientStats, eta: float, alpha: float, sigma_sq: float
 ) -> float:
-    """The bracketed data term shared by the likelihood and the objective.
-
-    Returns INFEASIBLE when eta + alpha^t underflows at some time.
-    """
-    lw = _log_w(stats, eta, alpha)
-    if lw is None:
-        return INFEASIBLE
-    t_pair = lw[stats.pair_lo] - lw[stats.pair_hi]
-    inv_dt = 1.0 / stats.pair_dt
-    y1 = np.sum(stats.pair_count * t_pair**2 * inv_dt)
-    y2 = np.sum(stats.pair_usum * t_pair * inv_dt)
-    r = np.sum(stats.pair_count * t_pair)
-    drift = math.log(alpha) - 0.5 * sigma_sq
-    return float(
+    """The bracketed data term shared by the likelihood and the objective."""
+    log_alpha = math.log(alpha)
+    y1, y2, r = _pair_sums(stats, eta, log_alpha)
+    drift = log_alpha - 0.5 * sigma_sq
+    return (
         stats.z1
         + 4.0 * (y1 - y2)
         + drift * (drift * stats.z2 - 2.0 * (stats.z3 - 2.0 * r))
@@ -256,7 +259,7 @@ def log_likelihood(
     With sigma1_sq > 0 the initial values contribute their lognormal
     log-densities; with sigma1_sq = 0 (degenerate start, the d = 1 case)
     those terms are dropped and only the N - d transitions count.
-    Returns -inf at infeasible (underflowing) parameter points.
+    Returns -inf where the data term is not finite.
     """
     _check_theta(eta, alpha)
     if not sigma_sq > 0.0:
@@ -290,7 +293,7 @@ def objective(data, eta: float, alpha: float, sigma_sq: float) -> float:
 
     g = (N-d)/2 * ln(sigma^2) + bracket / (2*sigma^2)
 
-    Returns +inf (INFEASIBLE) when the parameter point underflows, so
+    Returns +inf (INFEASIBLE) where the data term is not finite, so
     metaheuristics stay total on their search box.
     """
     _check_theta(eta, alpha)

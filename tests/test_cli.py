@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -220,3 +223,27 @@ def test_digits_rounding(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["alpha_star"] == pytest.approx(0.960, abs=5e-4)
     assert len(str(doc["alpha_star"]).split(".")[1]) <= 3
+
+
+def test_forecast_from_singular_fit_exits_1(tmp_path, capsys):
+    data = simulate(tmp_path, extra=("--subsample",))
+    out = tmp_path / "fit.json"
+    main(["fit", "--data", str(data), "--config", write_config(tmp_path),
+          "--seed", "1", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["cov"] = [[float("nan")] * 3] * 3
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["forecast", "--fit", str(out), "--s", "20", "--x-s", "100",
+                 "--from", "21", "--to", "25"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "covariance" in captured.err
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, hubbertfit.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.stdout.strip() == "False"

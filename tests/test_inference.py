@@ -270,6 +270,14 @@ def test_forecast_validation():
         hf.forecast(fit, 10.0, 5.0, [11.0], level=1.0)
 
 
+def test_forecast_rejects_fit_without_covariance():
+    # A fit whose Fisher matrix was singular stores a NaN cov; its bands
+    # would be NaN, so forecast refuses instead of returning them.
+    fit = synthetic_fit(0.0498, 0.8704, 0.0612, 1980.0, cov=np.full((3, 3), np.nan))
+    with pytest.raises(ConditioningError, match="covariance"):
+        hf.forecast(fit, 2014.0, 80.0, np.arange(2015.0, 2020.0))
+
+
 # ---------------------------------------------------------------------------
 # End-to-end fit
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from scipy import stats
 
 import hubbertfit as hf
 from hubbertfit.errors import InitializationError, ParameterDomainError
-from hubbertfit.optimize import FALLBACK_T0, Candidate
+from hubbertfit.optimize import FALLBACK_T0, Candidate, _half_width, _propose
 
 BOX = hf.SolutionBox()
 
@@ -85,6 +85,22 @@ def test_initial_temperature_fallback_on_constant_objective():
 def test_initial_temperature_all_infeasible():
     with pytest.raises(InitializationError):
         hf.initial_temperature(lambda th: math.inf, BOX, 20, 0.9, np.random.default_rng(0))
+
+
+def test_propose_matches_numpy_reference_bit_for_bit():
+    # _propose works on Python floats; it must equal this numpy reference
+    # bit for bit, draws and stream position included, also where it clips.
+    box = hf.SolutionBox(eta_range=(0.01, 0.02), alpha_range=(0.3, 0.31), sigma_range=(0.0, 1e-3))
+    rng_ref, rng = np.random.default_rng(3), np.random.default_rng(3)
+    interior = [b.tolist() for b in box.interior]
+    for scale in (1.0, 0.37, 1e-9):
+        half = _half_width(box, scale)
+        ref = cur = np.array([0.015, 0.305, 5e-4])
+        for _ in range(2000):
+            ref = box.clip_interior(ref + rng_ref.uniform(-1.0, 1.0, size=3) * np.array(half))
+            cur = _propose(cur, interior, half, rng)
+            assert ref.tobytes() == cur.tobytes()
+    assert rng_ref.random() == rng.random()
 
 
 def test_sa_converges_on_separable_quadratic():
