@@ -9,6 +9,7 @@ errors, 2 for I/O and parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -65,21 +66,23 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _sa_config(cfg: dict) -> opt.SAConfig:
-    sa = cfg.get("sa", {})
-    return opt.SAConfig(
-        p0=sa.get("p0", 0.9),
-        init_probe_count=sa.get("probe_count", 100),
-        gamma=sa.get("gamma", 0.95),
-        chain_length=sa.get("chain_length", 50),
-        t_final=sa.get("t_final", 0.1),
-        stall_window=sa.get("stall_window", 50),
-        stall_tolerance=sa.get("stall_tolerance", 0.0),
-    )
+def _config_block(cfg: dict, block: str, cls, file_keys: dict):
+    """cls built from the keys cfg[block] gives; the rest keep cls's defaults.
 
-
-def _vns_config(cfg: dict) -> opt.VNSConfig:
-    return opt.VNSConfig(k_max=cfg.get("vns", {}).get("k_max", 5))
+    file_keys maps a field of cls to its key in the file where the two
+    differ.  A key that names no field is a DataFormatError.
+    """
+    given = cfg.get(block, {})
+    if not isinstance(given, dict):
+        raise DataFormatError(f"config block {block!r} must be a JSON object")
+    fields = {file_keys.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(given) - set(fields))
+    if unknown:
+        raise DataFormatError(
+            f"unknown {block!r} config key(s) {', '.join(unknown)}; "
+            f"accepted: {', '.join(sorted(fields))}"
+        )
+    return cls(**{fields[key]: value for key, value in given.items()})
 
 
 def _resolved(cfg: dict, **overrides) -> dict:
@@ -209,8 +212,8 @@ def cmd_fit(args) -> int:
     fit = inference.fit(
         data,
         urr=urr,
-        sa_config=_sa_config(cfg),
-        vns_config=_vns_config(cfg),
+        sa_config=_config_block(cfg, "sa", opt.SAConfig, {"init_probe_count": "probe_count"}),
+        vns_config=_config_block(cfg, "vns", opt.VNSConfig, {}),
         seed=seed,
         n_restarts=restarts,
         algorithm=args.algorithm,

@@ -45,39 +45,39 @@ __all__ = [
 _COND_LIMIT = 1e12
 
 
+def _dlog_w(eta: float, alpha: float, t):
+    """(d/d eta, d/d alpha) of ln(eta + alpha^t), for scalar or array t."""
+    a_t = alpha_pow(alpha, t)
+    w = eta + a_t
+    return 1.0 / w, t * a_t / alpha / w
+
+
 def fisher_information(theta, data) -> np.ndarray:
     """Fisher information of the transition likelihood.
 
     theta is the (eta, alpha, sigma) triple; the matrix is parametrized
     in (eta, alpha, sigma^2), which is the form whose inverse feeds the
-    delta method below.  Built from per-transition sums over the panel's
-    (time-shifted) observation times; symmetric by construction.
+    delta method below.  Built from the derivatives of ln(eta + alpha^t)
+    at each unique observation time, differenced over the transition
+    pairs; symmetric by construction.
     """
     eta, alpha, sigma = (float(v) for v in theta)
     if not eta > 0.0 or not 0.0 < alpha < 1.0 or not sigma > 0.0:
         raise ParameterDomainError(f"invalid theta {theta}")
-    stats = data if isinstance(data, SufficientStats) else SufficientStats.from_panel(data)
+    stats = lik._as_stats(data)
 
-    s_t = stats.u_times[stats.pair_lo]
-    t_t = stats.u_times[stats.pair_hi]
-    a_s = alpha_pow(alpha, s_t)
-    a_t = alpha_pow(alpha, t_t)
-    ws = eta + a_s
-    wt = eta + a_t
-    s_prod = ws * wt
-    w = a_t - a_s
-    # d/d(alpha) of ln((eta+alpha^s)/(eta+alpha^t)), times s_prod
-    v = s_t * a_s / alpha * wt - t_t * a_t / alpha * ws
+    # dT/d(eta), dT/d(alpha) per pair, T = ln(eta+alpha^s) - ln(eta+alpha^t)
+    d_eta, d_alpha = _dlog_w(eta, alpha, stats.u_times)
+    te = d_eta.take(stats.pair_lo) - d_eta.take(stats.pair_hi)
+    ta = d_alpha.take(stats.pair_lo) - d_alpha.take(stats.pair_hi)
 
     c = stats.pair_count
     inv_dt = stats.pair_inv_dt
-    w_over_s = w / s_prod
-    v_over_s = v / s_prod
-    m1 = float(np.sum(c * w_over_s**2 * inv_dt))
-    m2 = float(np.sum(c * v_over_s**2 * inv_dt))
-    m3 = float(np.sum(c * w_over_s * v_over_s * inv_dt))
-    x1 = float(np.sum(c * w_over_s))
-    x2 = float(np.sum(c * v_over_s))
+    m1 = float(np.sum(c * te**2 * inv_dt))
+    m2 = float(np.sum(c * ta**2 * inv_dt))
+    m3 = float(np.sum(c * te * ta * inv_dt))
+    x1 = float(np.sum(c * te))
+    x2 = float(np.sum(c * ta))
     z2 = stats.z2
     n_trans = stats.n_transitions
     sigma_sq = sigma * sigma
@@ -153,14 +153,11 @@ def conditional_mean_gradient(
     eta: float, alpha: float, y: float, s: float, t: float
 ) -> np.ndarray:
     """Gradient of m(t | y, s) = y*((eta+alpha^s)/(eta+alpha^t))^2*alpha^(t-s)."""
-    a_s = alpha_pow(alpha, s)
-    a_t = alpha_pow(alpha, t)
+    de_s, da_s = _dlog_w(eta, alpha, s)
+    de_t, da_t = _dlog_w(eta, alpha, t)
     m = conditional_mean(t, y, s, eta, alpha)
-    dlog_eta = 2.0 * (1.0 / (eta + a_s) - 1.0 / (eta + a_t))
-    dlog_alpha = (
-        2.0 * (s * a_s / alpha / (eta + a_s) - t * a_t / alpha / (eta + a_t))
-        + (t - s) / alpha
-    )
+    dlog_eta = 2.0 * (de_s - de_t)
+    dlog_alpha = 2.0 * (da_s - da_t) + (t - s) / alpha
     return np.array([m * dlog_eta, m * dlog_alpha, 0.0])
 
 
@@ -235,6 +232,14 @@ def _cov_eta_alpha_sigma(cov_v: np.ndarray, sigma: float) -> np.ndarray:
     return jac @ cov_v @ jac
 
 
+def _require_cov(fit: FitResult, what: str) -> None:
+    if not np.all(np.isfinite(fit.cov)):
+        raise ConditioningError(
+            "the fit has no finite covariance (singular Fisher information), "
+            f"so {what} cannot be computed"
+        )
+
+
 def estimate_peak(fit: FitResult, y: float | None = None, s: float | None = None) -> PeakEstimate:
     """Peak time and peak value with delta-method errors.
 
@@ -242,8 +247,10 @@ def estimate_peak(fit: FitResult, y: float | None = None, s: float | None = None
     mean function through the estimated initial mean.  With a
     conditioning point (y, s) on the original clock, the conditional
     version y*(eta+alpha^s')^2/(4*eta*alpha^s') applies, s' = s - k.
-    Times are reported on the original clock.
+    Times are reported on the original clock.  Raises ConditioningError
+    when the fit has no finite covariance.
     """
+    _require_cov(fit, "peak standard errors")
     eta, alpha, _ = fit.theta_hat
     k = fit.time_shift_k
     t_max_shifted = math.log(eta) / math.log(alpha)
@@ -295,11 +302,7 @@ def forecast(
         raise OrderingError("all horizon times must lie strictly after s")
     if x_s <= 0.0:
         raise ParameterDomainError("x_s must be positive")
-    if not np.all(np.isfinite(fit.cov)):
-        raise ConditioningError(
-            "the fit has no finite covariance (singular Fisher information), "
-            "so forecast bands cannot be computed"
-        )
+    _require_cov(fit, "forecast bands")
     eta, alpha, _ = fit.theta_hat
     k = fit.time_shift_k
     s_shift = s - k
@@ -342,9 +345,9 @@ def fit(
     """
     k = data.t_first
     shifted = data.shifted(k)
-    mu1, sigma1_sq = lik.initial_mle(shifted)
-    box = bounds_mod.build_box(shifted, urr=urr, sigma_cap=sigma_cap)
     stats = SufficientStats.from_panel(shifted)
+    mu1, sigma1_sq = lik.initial_mle(stats)
+    box = bounds_mod.build_box(shifted, urr=urr, sigma_cap=sigma_cap)
 
     def objective(theta):
         # Python floats: scalar arithmetic on them is cheaper than on np.float64.

@@ -110,10 +110,11 @@ class SufficientStats:
     z3 = sum of per-path ln(x_last/x_first)
 
     pair_* arrays describe the unique (t_{j-1}, t_j) transition pairs:
-    counts, time gaps and their reciprocals, and the per-pair sums of
-    log-increments.  u_times is the sorted union of observation times
-    with pair_lo/pair_hi indexing into it, so eta + alpha^t is evaluated
-    once per unique time.
+    counts, reciprocal time gaps and the per-pair sums of log-increments.
+    u_times is the sorted union of observation times with pair_lo/pair_hi
+    indexing into it, so eta + alpha^t is evaluated once per unique time.
+    log_lik_offset is the data-only constant c with transition
+    log-likelihood = -c - objective.
     """
 
     z1: float
@@ -124,13 +125,11 @@ class SufficientStats:
     u_times: np.ndarray
     pair_lo: np.ndarray
     pair_hi: np.ndarray
-    pair_dt: np.ndarray
     pair_inv_dt: np.ndarray
     pair_count: np.ndarray
     pair_usum: np.ndarray
     log_x_first: np.ndarray
-    sum_log_x_rest: float
-    sum_log_dt: float
+    log_lik_offset: float
 
     @classmethod
     def from_panel(cls, data: PanelData) -> "SufficientStats":
@@ -153,7 +152,6 @@ class SufficientStats:
 
         u_times, flat_idx = np.unique(uniq.ravel(), return_inverse=True)
         idx = flat_idx.reshape(n_pairs, 2)
-        pair_dt = uniq[:, 1] - uniq[:, 0]
 
         return cls(
             z1=z1,
@@ -164,13 +162,15 @@ class SufficientStats:
             u_times=u_times,
             pair_lo=idx[:, 0],
             pair_hi=idx[:, 1],
-            pair_dt=pair_dt,
-            pair_inv_dt=1.0 / pair_dt,
+            pair_inv_dt=1.0 / (uniq[:, 1] - uniq[:, 0]),
             pair_count=count,
             pair_usum=usum,
             log_x_first=np.log(data.initial_values()),
-            sum_log_x_rest=float(sum(np.sum(np.log(v[1:])) for v in data.values)),
-            sum_log_dt=float(np.sum(np.log(dt_all))),
+            log_lik_offset=(
+                0.5 * s_all.size * math.log(2.0 * math.pi)
+                + float(sum(np.sum(np.log(v[1:])) for v in data.values))
+                + 0.5 * float(np.sum(np.log(dt_all)))
+            ),
         )
 
     @property
@@ -182,25 +182,25 @@ def _as_stats(data) -> SufficientStats:
     return data if isinstance(data, SufficientStats) else SufficientStats.from_panel(data)
 
 
-def initial_mle(data: PanelData) -> tuple[float, float]:
+def initial_mle(data) -> tuple[float, float]:
     """Sample mean and (biased) variance of the initial log-values.
 
     For d = 1 this is (ln x_11, 0), which selects the degenerate initial
     distribution downstream.
     """
-    log_x1 = np.log(np.asarray(data.initial_values(), dtype=float)) if isinstance(
-        data, PanelData
-    ) else np.asarray(data.log_x_first)
+    log_x1 = _as_stats(data).log_x_first
     mu1 = float(np.mean(log_x1))
     sigma1_sq = float(np.mean((log_x1 - mu1) ** 2))
     return mu1, sigma1_sq
 
 
-def _check_theta(eta: float, alpha: float) -> None:
+def _check_theta(eta: float, alpha: float, sigma_sq: float = 1.0) -> None:
     if not eta > 0.0:
         raise ParameterDomainError(f"eta must be positive, got {eta}")
     if not 0.0 < alpha < 1.0:
         raise ParameterDomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if not sigma_sq > 0.0:
+        raise ParameterDomainError(f"sigma_sq must be positive, got {sigma_sq}")
 
 
 def _pair_sums(
@@ -232,18 +232,25 @@ def eta_alpha_sums(data, eta: float, alpha: float) -> tuple[float, float, float]
     return _pair_sums(_as_stats(data), eta, math.log(alpha))
 
 
-def _quadratic_bracket(
+def _objective(
     stats: SufficientStats, eta: float, alpha: float, sigma_sq: float
 ) -> float:
-    """The bracketed data term shared by the likelihood and the objective."""
+    """The objective for validated parameters, or INFEASIBLE.
+
+    g = (N-d)/2 * ln(sigma^2) + bracket / (2*sigma^2), where the bracket
+    is the quadratic data term in Y1, Y2, R and the drift ln(alpha) - sigma^2/2.
+    """
     log_alpha = math.log(alpha)
     y1, y2, r = _pair_sums(stats, eta, log_alpha)
     drift = log_alpha - 0.5 * sigma_sq
-    return (
+    bracket = (
         stats.z1
         + 4.0 * (y1 - y2)
         + drift * (drift * stats.z2 - 2.0 * (stats.z3 - 2.0 * r))
     )
+    if not math.isfinite(bracket):
+        return INFEASIBLE
+    return 0.5 * stats.n_transitions * math.log(sigma_sq) + bracket / (2.0 * sigma_sq)
 
 
 def log_likelihood(
@@ -261,23 +268,11 @@ def log_likelihood(
     those terms are dropped and only the N - d transitions count.
     Returns -inf where the data term is not finite.
     """
-    _check_theta(eta, alpha)
-    if not sigma_sq > 0.0:
-        raise ParameterDomainError(f"sigma_sq must be positive, got {sigma_sq}")
+    _check_theta(eta, alpha, sigma_sq)
     if sigma1_sq < 0.0:
         raise ParameterDomainError(f"sigma1_sq must be nonnegative, got {sigma1_sq}")
     stats = _as_stats(data)
-    bracket = _quadratic_bracket(stats, eta, alpha, sigma_sq)
-    if not math.isfinite(bracket):
-        return -math.inf
-    n_trans = stats.n_transitions
-    value = (
-        -0.5 * n_trans * math.log(2.0 * math.pi)
-        - 0.5 * n_trans * math.log(sigma_sq)
-        - stats.sum_log_x_rest
-        - 0.5 * stats.sum_log_dt
-        - bracket / (2.0 * sigma_sq)
-    )
+    value = -stats.log_lik_offset - _objective(stats, eta, alpha, sigma_sq)
     if sigma1_sq > 0.0:
         value += (
             -0.5 * stats.d * math.log(2.0 * math.pi)
@@ -296,11 +291,5 @@ def objective(data, eta: float, alpha: float, sigma_sq: float) -> float:
     Returns +inf (INFEASIBLE) where the data term is not finite, so
     metaheuristics stay total on their search box.
     """
-    _check_theta(eta, alpha)
-    if not sigma_sq > 0.0:
-        raise ParameterDomainError(f"sigma_sq must be positive, got {sigma_sq}")
-    stats = _as_stats(data)
-    bracket = _quadratic_bracket(stats, eta, alpha, sigma_sq)
-    if not math.isfinite(bracket):
-        return INFEASIBLE
-    return 0.5 * stats.n_transitions * math.log(sigma_sq) + bracket / (2.0 * sigma_sq)
+    _check_theta(eta, alpha, sigma_sq)
+    return _objective(_as_stats(data), eta, alpha, sigma_sq)

@@ -44,6 +44,9 @@ FALLBACK_T0 = 1.0
 
 _MAX_START_TRIES = 1000
 
+# Cap on the VNS local searches (SA runs) after phase 1.
+_MAX_LOCAL_SEARCHES = 200
+
 
 @dataclass(frozen=True)
 class SAConfig:
@@ -53,7 +56,6 @@ class SAConfig:
     chain_length: int = 50
     t_final: float = 0.1
     stall_window: int = 50
-    stall_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p0 < 1.0:
@@ -62,8 +64,8 @@ class SAConfig:
             raise ParameterDomainError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.chain_length < 1 or self.init_probe_count < 2:
             raise ParameterDomainError("chain_length >= 1 and init_probe_count >= 2")
-        if not self.t_final > 0.0 or self.stall_tolerance < 0.0:
-            raise ParameterDomainError("t_final > 0 and stall_tolerance >= 0 required")
+        if not self.t_final > 0.0:
+            raise ParameterDomainError(f"t_final must be positive, got {self.t_final}")
 
 
 @dataclass(frozen=True)
@@ -207,9 +209,8 @@ def simulated_annealing(
 
     Runs Metropolis chains of config.chain_length at each temperature,
     cooling geometrically by config.gamma, until the temperature reaches
-    config.t_final or the last config.stall_window chain values are flat
-    to within config.stall_tolerance.  Returns the best-ever candidate
-    with a per-temperature trace.
+    config.t_final or the last config.stall_window chain values are all
+    equal.  Returns the best-ever candidate with a per-temperature trace.
 
     seed may be an int, a SeedSequence, or a Generator.  start overrides
     the random initial point (used by the VNS local search, which starts
@@ -259,7 +260,7 @@ def simulated_annealing(
         )
         if (
             len(recent) >= config.stall_window
-            and max(recent) - min(recent) <= config.stall_tolerance
+            and max(recent) - min(recent) <= 0.0
         ):
             stop_reason = "stall"
             break
@@ -303,7 +304,6 @@ def vns_sa(
     sa_config: SAConfig = SAConfig(),
     vns_config: VNSConfig = VNSConfig(),
     seed=None,
-    max_local_searches: int = 200,
 ) -> VNSResult:
     """Hybrid search: SA on the full box, then SA as the local search of VNS.
 
@@ -313,7 +313,7 @@ def vns_sa(
     the result is never worse than the phase-1 answer.
     """
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = iter(seq.spawn(max_local_searches + 1))
+    streams = iter(seq.spawn(_MAX_LOCAL_SEARCHES + 1))
 
     phase1 = simulated_annealing(objective, box, sa_config, next(streams))
     incumbent = phase1.best
@@ -321,7 +321,7 @@ def vns_sa(
     searches = []
 
     k = 1
-    while k <= vns_config.k_max and len(searches) < max_local_searches:
+    while k <= vns_config.k_max and len(searches) < _MAX_LOCAL_SEARCHES:
         sub_box = vns_neighborhood(incumbent.theta, k, vns_config, box)
         result = simulated_annealing(
             objective, sub_box, sa_config, next(streams), start=incumbent.theta

@@ -186,6 +186,34 @@ def test_fit_peak_flags_must_pair(tmp_path, capsys):
     assert code == 2
 
 
+def test_fit_config_unknown_key_exit_code(tmp_path, capsys):
+    data = simulate(tmp_path, extra=("--subsample",))
+    for bad in ({"sa": {"chain_lenght": 10}}, {"vns": {"k_max": 2, "kmax": 3}}, {"sa": [10]}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        code = main(["fit", "--data", str(data), "--config", str(path), "--seed", "1"])
+        assert code == 2, bad
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config" in captured.err
+
+
+def test_fit_singular_information_exits_1(tmp_path, capsys, monkeypatch):
+    # a singular Fisher matrix leaves the fit with NaN cov, so the peak
+    # block of the fit document has no standard errors to report
+    monkeypatch.setattr(
+        "hubbertfit.inference.fisher_information", lambda theta, data: np.ones((3, 3))
+    )
+    data = simulate(tmp_path, extra=("--subsample",))
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--data", str(data), "--config", write_config(tmp_path),
+                 "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert "covariance" in capsys.readouterr().err
+
+
 def test_forecast_horizon_before_s(tmp_path, capsys):
     data = simulate(tmp_path, extra=("--subsample",))
     out = tmp_path / "fit.json"

@@ -114,6 +114,57 @@ def test_fisher_matches_average_numeric_hessian():
     np.testing.assert_array_less(np.abs(avg - info) / scale, 0.05)
 
 
+def reference_fisher(panel, eta, alpha, sigma):
+    """Fisher information by a plain loop over every transition.
+
+    Uses the per-pair form: with a = alpha^s, b = alpha^t, ws = eta + a,
+    wt = eta + b, dT/d(eta) = (b - a)/(ws*wt) and dT/d(alpha) =
+    (s*a/alpha*wt - t*b/alpha*ws)/(ws*wt).
+    """
+    m1 = m2 = m3 = x1 = x2 = z2 = 0.0
+    n_trans = 0
+    log_alpha = math.log(alpha)
+    for times in panel.times:
+        z2 += times[-1] - times[0]
+        for s, t in zip(times[:-1], times[1:]):
+            a, b = math.exp(s * log_alpha), math.exp(t * log_alpha)
+            ws, wt = eta + a, eta + b
+            te = (b - a) / (ws * wt)
+            ta = (s * a / alpha * wt - t * b / alpha * ws) / (ws * wt)
+            m1 += te * te / (t - s)
+            m2 += ta * ta / (t - s)
+            m3 += te * ta / (t - s)
+            x1 += te
+            x2 += ta
+            n_trans += 1
+    v = sigma * sigma
+    return np.array(
+        [
+            [4.0 * m1, 4.0 * m3 + 2.0 * x1 / alpha, -x1],
+            [4.0 * m3 + 2.0 * x1 / alpha, 4.0 * m2 + z2 / alpha**2 + 4.0 * x2 / alpha,
+             -x2 - z2 / (2.0 * alpha)],
+            [-x1, -x2 - z2 / (2.0 * alpha), 0.5 * n_trans / v + 0.25 * z2],
+        ]
+    ) / v
+
+
+def test_fisher_matches_per_transition_reference():
+    # irregular ragged panel: repeated (s, t) pairs across paths and
+    # non-integer gaps, so the unique-pair aggregation is exercised
+    times = [
+        [0.0, 1.0, 2.5, 3.0, 4.7, 7.0],
+        [0.0, 1.0, 2.5, 3.0, 6.2],
+        [0.0, 0.3, 1.0, 2.5, 4.7, 7.0, 9.5],
+        [0.0, 1.0, 2.5],
+    ]
+    rng = np.random.default_rng(4)
+    values = [100.0 * np.exp(np.cumsum(rng.normal(0.1, 0.05, len(t)))) for t in times]
+    panel = hf.PanelData(times=times, values=values)
+    for eta, alpha, sigma in ((0.1, 0.45, 0.05), (0.3, 0.8, 0.07), (2.0, 0.95, 0.2)):
+        info = hf.fisher_information((eta, alpha, sigma), panel)
+        np.testing.assert_allclose(info, reference_fisher(panel, eta, alpha, sigma), rtol=1e-12)
+
+
 def test_fisher_theta_validation():
     stats = simulated_stats(3, n_paths=2)
     for theta in ((0.0, 0.5, 0.05), (0.1, 1.0, 0.05), (0.1, 0.5, 0.0)):
@@ -276,6 +327,15 @@ def test_forecast_rejects_fit_without_covariance():
     fit = synthetic_fit(0.0498, 0.8704, 0.0612, 1980.0, cov=np.full((3, 3), np.nan))
     with pytest.raises(ConditioningError, match="covariance"):
         hf.forecast(fit, 2014.0, 80.0, np.arange(2015.0, 2020.0))
+
+
+def test_peak_rejects_fit_without_covariance():
+    # NaN cov would give NaN peak standard errors; refuse instead.
+    fit = synthetic_fit(0.0393, 0.8607, 0.0731, 1980.0, cov=np.full((3, 3), np.nan))
+    with pytest.raises(ConditioningError, match="covariance"):
+        hf.estimate_peak(fit)
+    with pytest.raises(ConditioningError, match="covariance"):
+        hf.estimate_peak(fit, y=3019.0, s=1999.0)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_sa_cooling_is_geometric():
 
 def test_sa_stall_rule():
     # constant objective goes flat immediately: one stall window, then stop
-    config = hf.SAConfig(stall_window=50, stall_tolerance=0.0)
+    config = hf.SAConfig(stall_window=50)
     res = hf.simulated_annealing(lambda th: 1.0, BOX, config=config, seed=0)
     assert res.stop_reason == "stall"
     assert len(res.trace) == 1
