@@ -18,7 +18,7 @@ from .curve import ETA_VISIBILITY_FACTOR
 from .errors import InfeasibleRegionError, OrderingError, ParameterDomainError
 from .likelihood import PanelData
 
-__all__ = ["SolutionBox", "alpha1", "alpha2", "build_box", "ETA_UPPER"]
+__all__ = ["SolutionBox", "alpha1", "alpha2", "alpha_caps", "build_box", "ETA_UPPER"]
 
 ETA_UPPER = ETA_VISIBILITY_FACTOR  # 2 - sqrt(3) ~ 0.26795
 SIGMA_UPPER_DEFAULT = 0.1
@@ -116,6 +116,23 @@ def cumulative_trapezoid(data: PanelData) -> float:
     return float(np.mean(areas))
 
 
+def alpha_caps(data: PanelData, urr: float) -> tuple[float, float]:
+    """(alpha1, alpha2) of a panel given its URR figure.
+
+    x0 is the (mean) initial observed value and c the trapezoidal
+    cumulative production over the window; c >= urr raises
+    InfeasibleRegionError.
+    """
+    x0 = float(np.mean(data.initial_values()))
+    c = cumulative_trapezoid(data)
+    if c >= urr:
+        raise InfeasibleRegionError(
+            f"cumulative production {c:.6g} >= urr {urr:.6g}; "
+            "the URR estimate is inconsistent with the observed series"
+        )
+    return alpha1(x0, urr), alpha2(c, urr, data.t_first, data.t_last)
+
+
 def build_box(
     data: PanelData,
     urr: float | None = None,
@@ -123,25 +140,12 @@ def build_box(
 ) -> SolutionBox:
     """Search box for (eta, alpha, sigma) given a panel and an optional URR.
 
-    Without a URR the alpha interval falls back to (0, 1).  With one,
-    alpha* = min(alpha1, alpha2) where x0 is the (mean) initial observed
-    value and c the trapezoidal cumulative production over the window.
+    Without a URR the alpha interval falls back to (0, 1); with one it is
+    (0, alpha*), alpha* = min(alpha_caps(data, urr)).
     """
     if not sigma_cap > 0.0:
         raise ParameterDomainError(f"sigma_cap must be positive, got {sigma_cap}")
-    if urr is None:
-        alpha_star = 1.0
-    else:
-        x0 = float(np.mean(data.initial_values()))
-        c = cumulative_trapezoid(data)
-        if c >= urr:
-            raise InfeasibleRegionError(
-                f"cumulative production {c:.6g} >= urr {urr:.6g}; "
-                "the URR estimate is inconsistent with the observed series"
-            )
-        a1 = alpha1(x0, urr)
-        a2 = alpha2(c, urr, data.t_first, data.t_last)
-        alpha_star = min(a1, a2)
+    alpha_star = 1.0 if urr is None else min(alpha_caps(data, urr))
     return SolutionBox(
         eta_range=(0.0, ETA_UPPER),
         alpha_range=(0.0, alpha_star),

@@ -2,8 +2,9 @@
 
 Outputs are machine-readable: panels and forecasts as CSV, everything
 else as JSON stamped with a schema_version and the resolved run
-configuration.  Exit status is 0 on success, 1 for domain or optimizer
-errors, 2 for I/O and parse errors.
+configuration.  Exit status is 0 on success, 1 for the library's domain
+and optimizer errors, 2 for I/O, parse and argument errors; any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -18,15 +19,27 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import datasets
+from . import errors
 from . import inference
 from . import optimize as opt
 from .errors import DataFormatError
 from .likelihood import PanelData
 from .process import InitialDistribution, PathGrid, ProcessParams, simulate_paths
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-_DOMAIN_ERRORS = (ValueError, RuntimeError)
+# The library's domain and optimizer errors (exit 1); any other exception is a bug.
+_DOMAIN_ERRORS = (
+    errors.ParameterDomainError, errors.OrderingError, errors.InfeasibleRegionError,
+    errors.ConditioningError, errors.InitializationError,
+)
+
+_THETA = ("eta", "alpha", "sigma")
+# FitResult fields that the fit document stores under their own names.
+_SAME_NAME = (
+    "mu1_hat", "sigma1_sq_hat", "log_likelihood", "n_obs", "algorithm",
+    "n_restarts", "seed", "stop_reason", "n_evals", "warnings",
+)
 
 
 def _round_floats(obj, digits):
@@ -41,14 +54,16 @@ def _round_floats(obj, digits):
     return obj
 
 
-def _emit_json(doc: dict, out: str | None, digits: int | None) -> None:
-    doc = _round_floats(doc, digits)
-    text = json.dumps(doc, indent=2, allow_nan=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(doc: dict, out: str | None, digits: int | None) -> None:
+    _write(json.dumps(_round_floats(doc, digits), indent=2, allow_nan=True) + "\n", out)
 
 
 def _load_config(path: str | None) -> dict:
@@ -70,19 +85,26 @@ def _config_block(cfg: dict, block: str, cls, file_keys: dict):
     """cls built from the keys cfg[block] gives; the rest keep cls's defaults.
 
     file_keys maps a field of cls to its key in the file where the two
-    differ.  A key that names no field is a DataFormatError.
+    differ.  A key that names no field, or a value of the wrong type, is a
+    DataFormatError: an int field takes an integer, a float field any
+    number, and neither takes a boolean.
     """
     given = cfg.get(block, {})
     if not isinstance(given, dict):
         raise DataFormatError(f"config block {block!r} must be a JSON object")
-    fields = {file_keys.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+    fields = {file_keys.get(f.name, f.name): f for f in dataclasses.fields(cls)}
     unknown = sorted(set(given) - set(fields))
     if unknown:
         raise DataFormatError(
             f"unknown {block!r} config key(s) {', '.join(unknown)}; "
             f"accepted: {', '.join(sorted(fields))}"
         )
-    return cls(**{fields[key]: value for key, value in given.items()})
+    for key, value in given.items():
+        kind = type(fields[key].default)  # int or float
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            noun = "an integer" if kind is int else "a number"
+            raise DataFormatError(f"config {block}.{key} must be {noun}, got {value!r}")
+    return cls(**{fields[key].name: value for key, value in given.items()})
 
 
 def _resolved(cfg: dict, **overrides) -> dict:
@@ -142,65 +164,65 @@ def cmd_bounds(args) -> int:
         doc["note"] = "no URR supplied; alpha bounded only by 1"
         doc["alpha1"] = doc["alpha2"] = None
     else:
-        x0 = float(np.mean(data.initial_values()))
-        c = bounds_mod.cumulative_trapezoid(data)
-        doc["alpha1"] = bounds_mod.alpha1(x0, urr)
-        doc["alpha2"] = bounds_mod.alpha2(c, urr, data.t_first, data.t_last)
+        doc["alpha1"], doc["alpha2"] = bounds_mod.alpha_caps(data, urr)
     _emit_json(doc, args.out, args.digits)
     return 0
 
 
+def _peak_block(peak: inference.PeakEstimate) -> dict:
+    return {"time": peak.peak_time, "time_se": peak.peak_time_se,
+            "value": peak.peak, "value_se": peak.peak_se}
+
+
 def _fit_document(fit: inference.FitResult, cfg: dict, peak_args) -> dict:
-    eta, alpha, sigma = fit.theta_hat
+    """The fit as a JSON object; _read_fit is its inverse."""
     peak = inference.estimate_peak(fit)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "theta_hat": {"eta": eta, "alpha": alpha, "sigma": sigma},
+        "theta_hat": dict(zip(_THETA, fit.theta_hat)),
         "eta_unshifted": fit.eta_unshifted,
         "time_shift_k": fit.time_shift_k,
-        "mu1_hat": fit.mu1_hat,
-        "sigma1_sq_hat": fit.sigma1_sq_hat,
-        "std_errors": {
-            "eta": fit.std_errors[0],
-            "alpha": fit.std_errors[1],
-            "sigma": fit.std_errors[2],
-        },
+        "std_errors": dict(zip(_THETA, fit.std_errors)),
         "cov": np.asarray(fit.cov).tolist(),
+        "fisher": np.asarray(fit.fisher).tolist(),
         "objective": fit.objective_value,
-        "log_likelihood": fit.log_likelihood,
-        "peak": {
-            "time": peak.peak_time,
-            "time_se": peak.peak_time_se,
-            "value": peak.peak,
-            "value_se": peak.peak_se,
-            "already_passed": peak.peak_passed,
-        },
-        "box": {
-            "eta": list(fit.box.eta_range),
-            "alpha": list(fit.box.alpha_range),
-            "sigma": list(fit.box.sigma_range),
-        },
-        "n_obs": fit.n_obs,
+        "peak": {**_peak_block(peak), "already_passed": peak.peak_passed},
+        "box": {name: list(getattr(fit.box, f"{name}_range")) for name in _THETA},
         "n_paths": fit.d,
-        "algorithm": fit.algorithm,
-        "n_restarts": fit.n_restarts,
-        "seed": fit.seed,
-        "stop_reason": fit.stop_reason,
-        "n_evals": fit.n_evals,
-        "warnings": fit.warnings,
+        **{name: getattr(fit, name) for name in _SAME_NAME},
         "config": cfg,
     }
     if peak_args is not None:
         y, s = peak_args
         conditional = inference.estimate_peak(fit, y=y, s=s)
-        doc["peak_conditional"] = {
-            "time": conditional.peak_time,
-            "time_se": conditional.peak_time_se,
-            "value": conditional.peak,
-            "value_se": conditional.peak_se,
-            "conditioning": {"x_s": y, "s": s},
-        }
+        doc["peak_conditional"] = {**_peak_block(conditional), "conditioning": {"x_s": y, "s": s}}
     return doc
+
+
+def _read_fit(doc, path: str) -> inference.FitResult:
+    """The FitResult that _fit_document wrote; a DataFormatError names what is wrong."""
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        raise DataFormatError(f"fit file {path} has schema_version {version!r}, not {SCHEMA_VERSION}")
+    try:
+        theta, box = doc["theta_hat"], doc["box"]
+        fit = inference.FitResult(
+            theta_hat=tuple(float(theta[name]) for name in _THETA),
+            time_shift_k=float(doc["time_shift_k"]),
+            cov=np.asarray(doc["cov"], dtype=float),
+            fisher=np.asarray(doc["fisher"], dtype=float),
+            objective_value=doc["objective"],
+            box=bounds_mod.SolutionBox(*(tuple(box[name]) for name in _THETA)),
+            d=doc["n_paths"],
+            **{name: doc[name] for name in _SAME_NAME},
+        )
+    except KeyError as exc:
+        raise DataFormatError(f"fit file {path} is missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"fit file {path} has a malformed field: {exc}") from None
+    if fit.cov.shape != (3, 3) or fit.fisher.shape != (3, 3):
+        raise DataFormatError(f"fit file {path}: cov and fisher must be 3x3 matrices")
+    return fit
 
 
 def cmd_fit(args) -> int:
@@ -230,6 +252,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    if not 0.0 < args.step < math.inf:
+        raise DataFormatError(f"--step must be positive and finite, got {args.step}")
+    if not -math.inf < args.start <= args.stop < math.inf:
+        raise DataFormatError(
+            f"--from {args.start} and --to {args.stop} must be finite, with --to not before --from"
+        )
     try:
         with open(args.fit) as handle:
             fit_doc = json.load(handle)
@@ -237,38 +265,15 @@ def cmd_forecast(args) -> int:
         raise DataFormatError(f"cannot read fit file {args.fit}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"fit file {args.fit} is not valid JSON: {exc}") from None
-    try:
-        theta = fit_doc["theta_hat"]
-        fit = inference.FitResult(
-            theta_hat=(theta["eta"], theta["alpha"], theta["sigma"]),
-            mu1_hat=fit_doc.get("mu1_hat", 0.0),
-            sigma1_sq_hat=fit_doc.get("sigma1_sq_hat", 0.0),
-            objective_value=fit_doc.get("objective", math.nan),
-            log_likelihood=fit_doc.get("log_likelihood", math.nan),
-            fisher=np.empty((0, 0)),
-            cov=np.asarray(fit_doc["cov"], dtype=float),
-            std_errors=(math.nan,) * 3,
-            time_shift_k=fit_doc["time_shift_k"],
-            n_obs=fit_doc.get("n_obs", 0),
-            d=fit_doc.get("n_paths", 1),
-            box=bounds_mod.SolutionBox(),
-        )
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"fit file {args.fit} is missing field {exc}") from None
+    fit = _read_fit(fit_doc, args.fit)
     horizon = np.arange(args.start, args.stop + 0.5 * args.step, args.step)
     result = inference.forecast(fit, args.s, args.x_s, horizon, level=args.level)
-    lines = ["year,mean,lower,upper"]
-    for t, m, lo, hi in zip(result.times, result.point, result.lower, result.upper):
-        row = [t, m, lo, hi]
-        if args.digits is not None:
-            row = [round(v, args.digits) for v in row]
-        lines.append(",".join(repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    rows = _round_floats(
+        [list(row) for row in zip(result.times, result.point, result.lower, result.upper)],
+        args.digits,
+    )
+    lines = ["year,mean,lower,upper"] + [",".join(repr(float(v)) for v in row) for row in rows]
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 

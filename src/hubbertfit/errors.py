@@ -14,7 +14,7 @@ class InfeasibleRegionError(ValueError):
 
 
 class DataFormatError(ValueError):
-    """A dataset file failed validation; message names the offending row."""
+    """An input file or argument failed validation; message names the offending part."""
 
 
 class ConditioningError(RuntimeError):

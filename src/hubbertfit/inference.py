@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import likelihood as lik
 from . import optimize as opt
-from .curve import alpha_pow
+from .curve import CurveParams, alpha_pow, peak_time, peak_value
 from .errors import ConditioningError, OrderingError, ParameterDomainError
 from .likelihood import PanelData, SufficientStats
 from .process import conditional_mean
@@ -94,23 +94,22 @@ def fisher_information(theta, data) -> np.ndarray:
     )
 
 
-def asymptotic_cov(info: np.ndarray, n_eff: int) -> np.ndarray:
-    """inverse(info) / n_eff, with a conditioning guard.
+def asymptotic_cov(info: np.ndarray, sigma: float) -> np.ndarray:
+    """Covariance of (eta, alpha, sigma) from the (eta, alpha, sigma^2) information.
 
-    info is the per-effective-observation information; pass the total
-    information divided by n_eff to get the usual total-inverse.
+    Raises ConditioningError when info is numerically singular; the
+    condition number does not depend on the scale of info, so the total
+    and the per-observation information gate alike.  The sigma^2 row and
+    column of the inverse are mapped to sigma by the Jacobian 1/(2 sigma).
     """
     info = np.asarray(info, dtype=float)
-    _check_conditioning(info)
-    return np.linalg.inv(info) / n_eff
-
-
-def _check_conditioning(info: np.ndarray) -> None:
     cond = np.linalg.cond(info)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise ConditioningError(
             f"information matrix is numerically singular (cond ~ {cond:.3e})"
         )
+    jac = np.diag([1.0, 1.0, 1.0 / (2.0 * sigma)])
+    return jac @ np.linalg.inv(info) @ jac
 
 
 def delta_error(grad, cov: np.ndarray) -> float:
@@ -172,8 +171,7 @@ class FitResult:
 
     theta_hat is on the shifted clock (times minus time_shift_k), so its
     eta is the reparametrized eta' = alpha^(-k)*eta.  cov and std_errors
-    are in the (eta, alpha, sigma) parametrization; the sigma row/column
-    of the information inverse is mapped from sigma^2 by its Jacobian.
+    are in the (eta, alpha, sigma) parametrization (see asymptotic_cov).
     """
 
     theta_hat: tuple
@@ -183,7 +181,6 @@ class FitResult:
     log_likelihood: float
     fisher: np.ndarray
     cov: np.ndarray
-    std_errors: tuple
     time_shift_k: float
     n_obs: int
     d: int
@@ -194,6 +191,11 @@ class FitResult:
     stop_reason: str = ""
     n_evals: int = 0
     warnings: list = field(default_factory=list)
+
+    @property
+    def std_errors(self) -> tuple:
+        """Asymptotic standard errors of (eta, alpha, sigma): sqrt(diag(cov))."""
+        return tuple(float(v) for v in np.sqrt(np.diag(self.cov)))
 
     @property
     def eta_unshifted(self) -> float:
@@ -226,12 +228,6 @@ class Forecast:
     x_s: float
 
 
-def _cov_eta_alpha_sigma(cov_v: np.ndarray, sigma: float) -> np.ndarray:
-    """Map the (eta, alpha, sigma^2) covariance to (eta, alpha, sigma)."""
-    jac = np.diag([1.0, 1.0, 1.0 / (2.0 * sigma)])
-    return jac @ cov_v @ jac
-
-
 def _require_cov(fit: FitResult, what: str) -> None:
     if not np.all(np.isfinite(fit.cov)):
         raise ConditioningError(
@@ -253,9 +249,7 @@ def estimate_peak(fit: FitResult, y: float | None = None, s: float | None = None
     _require_cov(fit, "peak standard errors")
     eta, alpha, _ = fit.theta_hat
     k = fit.time_shift_k
-    t_max_shifted = math.log(eta) / math.log(alpha)
-    t_grad = peak_time_gradient(eta, alpha)
-    t_se = delta_error(t_grad, fit.cov)
+    t_se = delta_error(peak_time_gradient(eta, alpha), fit.cov)
 
     if (y is None) != (s is None):
         raise ParameterDomainError("provide both y and s, or neither")
@@ -266,16 +260,13 @@ def estimate_peak(fit: FitResult, y: float | None = None, s: float | None = None
             raise ParameterDomainError("conditioning value y must be positive")
         y_eff, s_shifted = y, s - k
 
-    a_s = alpha_pow(alpha, s_shifted)
-    peak = y_eff * (eta + a_s) ** 2 / (4.0 * eta * a_s)
-    p_grad = peak_gradient(eta, alpha, y_eff, s_shifted)
-    p_se = delta_error(p_grad, fit.cov)
+    p_se = delta_error(peak_gradient(eta, alpha, y_eff, s_shifted), fit.cov)
 
     # Peak lies after the first observation iff eta' < alpha^0 = 1.
     return PeakEstimate(
-        peak_time=t_max_shifted + k,
+        peak_time=peak_time(eta, alpha) + k,
         peak_time_se=t_se,
-        peak=peak,
+        peak=peak_value(CurveParams(eta, alpha, y_eff, s_shifted)),
         peak_se=p_se,
         peak_passed=eta >= 1.0,
     )
@@ -369,10 +360,7 @@ def fit(
     warnings = []
     info = fisher_information((eta_hat, alpha_hat, sigma_hat), stats)
     try:
-        # The guard reads the unit information, as asymptotic_cov does; the
-        # covariance is the inverse of the total information.
-        _check_conditioning(info / stats.n_transitions)
-        cov = _cov_eta_alpha_sigma(np.linalg.inv(info), sigma_hat)
+        cov = asymptotic_cov(info, sigma_hat)
     except ConditioningError as exc:
         warnings.append(str(exc))
         cov = np.full((3, 3), np.nan)
@@ -391,7 +379,6 @@ def fit(
         log_likelihood=ll,
         fisher=info,
         cov=cov,
-        std_errors=tuple(float(v) for v in np.sqrt(np.diag(cov))),
         time_shift_k=k,
         n_obs=stats.n_obs,
         d=stats.d,

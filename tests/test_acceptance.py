@@ -135,7 +135,7 @@ def published_fit(eta, alpha, sigma, k):
     return inference.FitResult(
         theta_hat=(eta, alpha, sigma), mu1_hat=0.0, sigma1_sq_hat=0.0,
         objective_value=0.0, log_likelihood=0.0, fisher=np.eye(3),
-        cov=np.zeros((3, 3)), std_errors=(0.0, 0.0, 0.0), time_shift_k=k,
+        cov=np.zeros((3, 3)), time_shift_k=k,
         n_obs=0, d=1, box=hf.SolutionBox(),
     )
 

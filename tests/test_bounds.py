@@ -7,7 +7,7 @@ import pytest
 
 import hubbertfit as hf
 from hubbertfit import datasets
-from hubbertfit.bounds import ETA_UPPER, cumulative_trapezoid
+from hubbertfit.bounds import ETA_UPPER, alpha_caps, cumulative_trapezoid
 from hubbertfit.errors import InfeasibleRegionError, OrderingError, ParameterDomainError
 
 TABLE = Path(__file__).parent / "data" / "alpha_bounds_table.csv"
@@ -94,6 +94,18 @@ def test_build_box_uses_min_of_caps():
     a1 = hf.alpha1(100.0, u)
     a2 = hf.alpha2(cumulative_trapezoid(panel), u, 0.0, 50.0)
     assert box.alpha_range[1] == pytest.approx(min(a1, a2), rel=1e-14)
+
+
+def test_alpha_caps_are_the_box_caps():
+    t = np.arange(0.0, 51.0)
+    p = hf.CurveParams(eta=0.05, alpha=0.8, x0=100.0, t0=0.0)
+    panel = hf.PanelData(times=[t], values=[hf.hubbert_value(t, p)])
+    u = hf.urr(p)
+    caps = alpha_caps(panel, u)
+    assert caps == (hf.alpha1(100.0, u), hf.alpha2(cumulative_trapezoid(panel), u, 0.0, 50.0))
+    assert hf.build_box(panel, urr=u).alpha_range[1] == min(caps)
+    with pytest.raises(InfeasibleRegionError):
+        alpha_caps(panel, urr=0.5 * cumulative_trapezoid(panel))
 
 
 def test_build_box_rejects_inconsistent_urr():

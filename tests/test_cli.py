@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from hubbertfit import datasets
+import hubbertfit as hf
+from hubbertfit import cli, datasets
 from hubbertfit.cli import main
 
 FAST_CONFIG = {
@@ -89,7 +91,7 @@ def test_bounds_bundled_reference(tmp_path, capsys):
     code = main(["bounds", "--data", "norway", "--urr", str(datasets.NORWAY_URR)])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["alpha_star"] == pytest.approx(0.8724, abs=1e-4)
     assert not doc["fallback"]
 
@@ -129,7 +131,7 @@ def test_fit_and_forecast_workflow(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(fit_out.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert 0.0 < doc["theta_hat"]["alpha"] < 1.0
     assert doc["config"]["seed"] == 11
     assert doc["peak"]["time"] > 0.0
@@ -197,6 +199,109 @@ def test_fit_config_unknown_key_exit_code(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config" in captured.err
+
+
+def test_fit_config_value_type_exit_code(tmp_path, capsys):
+    data = simulate(tmp_path, extra=("--subsample",))
+    bad_configs = (
+        {"sa": {"chain_length": "ten"}},
+        {"sa": {"chain_length": 2.5}},
+        {"sa": {"chain_length": True}},
+        {"sa": {"gamma": False}},
+        {"sa": {"t_final": "50"}},
+        {"vns": {"k_max": None}},
+    )
+    for bad in bad_configs:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        code = main(["fit", "--data", str(data), "--config", str(path), "--seed", "1"])
+        assert code == 2, bad
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be" in captured.err
+
+
+def test_fit_config_float_field_takes_integer(tmp_path, capsys):
+    data = simulate(tmp_path, extra=("--subsample",))
+    cfg = write_config(tmp_path, {"sa": {"chain_length": 10, "t_final": 50, "probe_count": 20}})
+    assert main(["fit", "--data", str(data), "--config", cfg, "--seed", "1"]) == 0
+
+
+@pytest.fixture(scope="module")
+def fit_file(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fit")
+    data = simulate(tmp, extra=("--subsample",))
+    out = tmp / "fit.json"
+    assert main(["fit", "--data", str(data), "--config", write_config(tmp),
+                 "--seed", "1", "--out", str(out)]) == 0
+    return out
+
+
+def forecast_args(fit_path, *extra):
+    return ["forecast", "--fit", str(fit_path), "--s", "20", "--x-s", "100", *extra]
+
+
+@pytest.mark.parametrize("horizon", [
+    ("--from", "21", "--to", "25", "--step", "0"),
+    ("--from", "21", "--to", "25", "--step", "-1"),
+    ("--from", "25", "--to", "21"),
+    ("--from", "21", "--to", "inf"),
+    ("--from", "nan", "--to", "25"),
+    ("--from", "21", "--to", "25", "--step", "inf"),
+])
+def test_forecast_bad_horizon_exit_code(fit_file, capsys, horizon):
+    capsys.readouterr()
+    assert main(forecast_args(fit_file, *horizon)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--step" in captured.err or "--to" in captured.err
+
+
+def test_fit_document_round_trip():
+    panel = hf.simulate_paths(
+        hf.ProcessParams(eta=0.1, alpha=0.45, sigma=0.05,
+                         init=hf.InitialDistribution.degenerate(100.0)),
+        hf.PathGrid(np.arange(0.0, 21.0)), 5, 7,
+    )
+    fit = hf.fit(panel, urr=5.0e4, seed=4,
+                 sa_config=hf.SAConfig(chain_length=10, t_final=50.0, init_probe_count=20))
+    doc = json.loads(json.dumps(cli._fit_document(fit, {}, None)))
+    back = cli._read_fit(doc, "fit.json")
+    for field in dataclasses.fields(fit):
+        a, b = getattr(fit, field.name), getattr(back, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+def test_forecast_rejects_other_schema_or_missing_field(fit_file, tmp_path, capsys):
+    doc = json.loads(fit_file.read_text())
+    for name, edit, expected in (
+        ("v1.json", {"schema_version": 1}, "schema_version"),
+        ("nofisher.json", {"fisher": None}, "fisher"),
+        ("nok.json", {"time_shift_k": None}, "time_shift_k"),
+    ):
+        broken = {k: v for k, v in {**doc, **edit}.items() if v is not None}
+        path = tmp_path / name
+        path.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert main(forecast_args(path, "--from", "21", "--to", "25")) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert expected in captured.err
+
+
+def test_unexpected_error_propagates(monkeypatch):
+    # only the library's own error classes mean exit 1; a plain ValueError
+    # or RuntimeError is a bug and must not be reported as a domain error
+    for exc in (ValueError("bug"), RuntimeError("bug")):
+        def broken(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr("hubbertfit.bounds.build_box", broken)
+        with pytest.raises(type(exc)):
+            main(["bounds", "--data", "norway"])
 
 
 def test_fit_singular_information_exits_1(tmp_path, capsys, monkeypatch):

@@ -33,7 +33,6 @@ def synthetic_fit(eta, alpha, sigma, k, cov=None):
         log_likelihood=0.0,
         fisher=np.eye(3),
         cov=cov,
-        std_errors=tuple(np.sqrt(np.diag(cov))),
         time_shift_k=k,
         n_obs=0,
         d=1,
@@ -173,14 +172,15 @@ def test_fisher_theta_validation():
 
 
 def test_asymptotic_cov_inverts():
+    # the sigma^2 variance 1/16 maps to sigma by the Jacobian 1/(2*sigma) = 1/4
     info = np.diag([4.0, 9.0, 16.0])
-    cov = hf.asymptotic_cov(info, 2)
-    np.testing.assert_allclose(cov, np.diag([1 / 8.0, 1 / 18.0, 1 / 32.0]))
+    cov = hf.asymptotic_cov(info, 2.0)
+    np.testing.assert_allclose(cov, np.diag([1 / 4.0, 1 / 9.0, 1 / 256.0]))
 
 
 def test_asymptotic_cov_rejects_singular():
     with pytest.raises(ConditioningError):
-        hf.asymptotic_cov(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 1)
+        hf.asymptotic_cov(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 0.5)
 
 
 def test_delta_error_quadratic_form():
@@ -268,6 +268,12 @@ def test_peak_time_unshifts_by_k():
     a = hf.estimate_peak(synthetic_fit(0.1, 0.45, 0.05, 0.0))
     b = hf.estimate_peak(synthetic_fit(0.1, 0.45, 0.05, 25.0))
     assert b.peak_time == pytest.approx(a.peak_time + 25.0, rel=1e-12)
+
+
+def test_peak_uses_curve_formulas():
+    est = hf.estimate_peak(synthetic_fit(0.0563, 0.9173, 0.0646, 1992.0), y=1632.0, s=2014.0)
+    assert est.peak_time == hf.peak_time(0.0563, 0.9173) + 1992.0
+    assert est.peak == hf.peak_value(hf.CurveParams(0.0563, 0.9173, 1632.0, 22.0))
 
 
 def test_peak_passed_flag():
@@ -361,6 +367,12 @@ def test_fit_recovers_rough_parameters():
     assert abs(sigma - 0.05) < 0.02
     assert fit.box.contains(fit.theta_hat)
     assert math.isfinite(fit.log_likelihood)
+
+
+def test_fit_covariance_and_std_errors_from_fisher():
+    fit = hf.fit(small_panel(), seed=5, sa_config=FAST_SA)
+    np.testing.assert_array_equal(fit.cov, hf.asymptotic_cov(fit.fisher, fit.theta_hat[2]))
+    assert fit.std_errors == tuple(np.sqrt(np.diag(fit.cov)))
 
 
 def test_fit_deterministic_field_for_field():
