@@ -33,7 +33,7 @@ peak_kaz = hf.estimate_peak(fit_kaz, y=1632.0, s=2014.0)
 print("\nKazakhstan, data to 2014:")
 print(f"  predicted peak year {peak_kaz.peak_time:.3f} +- {peak_kaz.peak_time_se:.3f}")
 print(f"  predicted peak rate {peak_kaz.peak:.1f} +- {peak_kaz.peak_se:.1f}")
-print(f"  peak already passed in-window: {peak_kaz.peak_passed}")
+print(f"  peak already passed in-window: {peak_kaz.peak_time <= kaz.t_last}")
 
 fc = hf.forecast(fit_kaz, s=2014.0, x_s=1632.0, horizon_times=range(2015, 2041, 5))
 print("\n  year   mean    95% band")

@@ -100,7 +100,8 @@ def alpha2(c: float, urr: float, t0: float, tF: float) -> float:
         raise ParameterDomainError("c and urr must be positive")
     if c >= urr:
         raise InfeasibleRegionError(
-            f"observed cumulative production c={c} is not below urr={urr}"
+            f"cumulative production {c:.6g} >= urr {urr:.6g}; "
+            "the URR estimate is inconsistent with the observed series"
         )
     m = c / urr
     h = tF - t0
@@ -121,15 +122,10 @@ def alpha_caps(data: PanelData, urr: float) -> tuple[float, float]:
 
     x0 is the (mean) initial observed value and c the trapezoidal
     cumulative production over the window; c >= urr raises
-    InfeasibleRegionError.
+    InfeasibleRegionError (from alpha2).
     """
     x0 = float(np.mean(data.initial_values()))
     c = cumulative_trapezoid(data)
-    if c >= urr:
-        raise InfeasibleRegionError(
-            f"cumulative production {c:.6g} >= urr {urr:.6g}; "
-            "the URR estimate is inconsistent with the observed series"
-        )
     return alpha1(x0, urr), alpha2(c, urr, data.t_first, data.t_last)
 
 

@@ -26,7 +26,7 @@ from .errors import DataFormatError
 from .likelihood import PanelData
 from .process import InitialDistribution, PathGrid, ProcessParams, simulate_paths
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # The library's domain and optimizer errors (exit 1); any other exception is a bug.
 _DOMAIN_ERRORS = (
@@ -40,6 +40,9 @@ _SAME_NAME = (
     "mu1_hat", "sigma1_sq_hat", "log_likelihood", "n_obs", "algorithm",
     "n_restarts", "seed", "stop_reason", "n_evals", "warnings",
 )
+# Top-level config keys: (type, may be null); "sa" and "vns" are blocks.
+_TOP_LEVEL = {"urr": (float, True), "seed": (int, True), "restarts": (int, False),
+              "sigma_cap": (float, False)}
 
 
 def _round_floats(obj, digits):
@@ -66,6 +69,15 @@ def _emit_json(doc: dict, out: str | None, digits: int | None) -> None:
     _write(json.dumps(_round_floats(doc, digits), indent=2, allow_nan=True) + "\n", out)
 
 
+def _check_type(name: str, value, kind, nullable: bool = False) -> None:
+    """An int kind takes an integer, a float kind any number; neither a boolean."""
+    if nullable and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        noun = ("an integer" if kind is int else "a number") + (" or null" if nullable else "")
+        raise DataFormatError(f"config {name} must be {noun}, got {value!r}")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -78,6 +90,15 @@ def _load_config(path: str | None) -> dict:
         raise DataFormatError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise DataFormatError(f"config {path} must be a JSON object")
+    accepted = sorted([*_TOP_LEVEL, "sa", "vns"])
+    unknown = sorted(set(cfg) - set(accepted))
+    if unknown:
+        raise DataFormatError(
+            f"unknown config key(s) {', '.join(unknown)}; accepted: {', '.join(accepted)}"
+        )
+    for key, (kind, nullable) in _TOP_LEVEL.items():
+        if key in cfg:
+            _check_type(key, cfg[key], kind, nullable)
     return cfg
 
 
@@ -85,9 +106,8 @@ def _config_block(cfg: dict, block: str, cls, file_keys: dict):
     """cls built from the keys cfg[block] gives; the rest keep cls's defaults.
 
     file_keys maps a field of cls to its key in the file where the two
-    differ.  A key that names no field, or a value of the wrong type, is a
-    DataFormatError: an int field takes an integer, a float field any
-    number, and neither takes a boolean.
+    differ.  A key that names no field, or a value of the wrong type
+    (see _check_type), is a DataFormatError.
     """
     given = cfg.get(block, {})
     if not isinstance(given, dict):
@@ -100,10 +120,7 @@ def _config_block(cfg: dict, block: str, cls, file_keys: dict):
             f"accepted: {', '.join(sorted(fields))}"
         )
     for key, value in given.items():
-        kind = type(fields[key].default)  # int or float
-        if isinstance(value, bool) or not isinstance(value, (int, kind)):
-            noun = "an integer" if kind is int else "a number"
-            raise DataFormatError(f"config {block}.{key} must be {noun}, got {value!r}")
+        _check_type(f"{block}.{key}", value, type(fields[key].default))  # int or float
     return cls(**{fields[key].name: value for key, value in given.items()})
 
 
@@ -128,6 +145,12 @@ def _load_data(path: str) -> PanelData:
 
 
 def cmd_simulate(args) -> int:
+    if not 0.0 < args.step < math.inf:
+        raise DataFormatError(f"--step must be positive and finite, got {args.step}")
+    if not -math.inf < args.t0 < args.t_final < math.inf:
+        raise DataFormatError(
+            f"--t0 {args.t0} and --t-final {args.t_final} must be finite, with --t-final after --t0"
+        )
     init = InitialDistribution.degenerate(args.x0)
     params = ProcessParams(
         eta=args.eta, alpha=args.alpha, sigma=args.sigma, init=init, t0=args.t0
@@ -176,7 +199,6 @@ def _peak_block(peak: inference.PeakEstimate) -> dict:
 
 def _fit_document(fit: inference.FitResult, cfg: dict, peak_args) -> dict:
     """The fit as a JSON object; _read_fit is its inverse."""
-    peak = inference.estimate_peak(fit)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "theta_hat": dict(zip(_THETA, fit.theta_hat)),
@@ -186,7 +208,7 @@ def _fit_document(fit: inference.FitResult, cfg: dict, peak_args) -> dict:
         "cov": np.asarray(fit.cov).tolist(),
         "fisher": np.asarray(fit.fisher).tolist(),
         "objective": fit.objective_value,
-        "peak": {**_peak_block(peak), "already_passed": peak.peak_passed},
+        "peak": _peak_block(inference.estimate_peak(fit)),
         "box": {name: list(getattr(fit.box, f"{name}_range")) for name in _THETA},
         "n_paths": fit.d,
         **{name: getattr(fit, name) for name in _SAME_NAME},
@@ -226,6 +248,8 @@ def _read_fit(doc, path: str) -> inference.FitResult:
 
 
 def cmd_fit(args) -> int:
+    if (args.peak_x is None) != (args.peak_s is None):
+        raise DataFormatError("--peak-x and --peak-s must be given together")
     cfg = _load_config(args.config)
     urr = args.urr if args.urr is not None else cfg.get("urr")
     seed = args.seed if args.seed is not None else cfg.get("seed")
@@ -241,11 +265,7 @@ def cmd_fit(args) -> int:
         algorithm=args.algorithm,
         sigma_cap=cfg.get("sigma_cap", bounds_mod.SIGMA_UPPER_DEFAULT),
     )
-    peak_args = None
-    if (args.peak_x is None) != (args.peak_s is None):
-        raise DataFormatError("--peak-x and --peak-s must be given together")
-    if args.peak_x is not None:
-        peak_args = (args.peak_x, args.peak_s)
+    peak_args = None if args.peak_x is None else (args.peak_x, args.peak_s)
     resolved = _resolved(cfg, urr=urr, seed=seed, restarts=restarts, algorithm=args.algorithm)
     _emit_json(_fit_document(fit, resolved, peak_args), args.out, args.digits)
     return 0

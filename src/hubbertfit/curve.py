@@ -46,6 +46,16 @@ def alpha_pow(alpha: float, t):
     return np.exp(np.multiply(t, math.log(alpha)))
 
 
+def _log_mean(log_x0: float, t, t0: float, eta: float, alpha: float, rate: float):
+    """log_x0 + 2*ln((eta+alpha^t0)/(eta+alpha^t)) + rate*(t - t0).
+
+    The one Hubbert-curve formula: rate = ln(alpha) gives ln x(t), and
+    rate = ln(alpha) - sigma^2/2 the log-scale mean of the diffusion.
+    """
+    shift = 2.0 * (np.log(eta + alpha_pow(alpha, t0)) - np.log(eta + alpha_pow(alpha, t)))
+    return log_x0 + shift + rate * np.subtract(t, t0)
+
+
 @dataclass(frozen=True)
 class CurveParams:
     """Parameters of a Hubbert curve.
@@ -81,12 +91,8 @@ def logistic_value(t, k: float, eta: float, alpha: float):
 
 
 def hubbert_value(t, p: CurveParams):
-    """Production rate x(t); equals x0 exactly at t = t0."""
-    a_t0 = alpha_pow(p.alpha, p.t0)
-    a_t = alpha_pow(p.alpha, t)
-    return p.x0 * ((p.eta + a_t0) / (p.eta + a_t)) ** 2 * np.exp(
-        np.multiply(np.subtract(t, p.t0), math.log(p.alpha))
-    )
+    """Production rate x(t), computed as exp(ln x(t)); x(t0) = x0 up to rounding."""
+    return np.exp(_log_mean(math.log(p.x0), t, p.t0, p.eta, p.alpha, math.log(p.alpha)))
 
 
 def peak_time(eta: float, alpha: float) -> float:
@@ -119,11 +125,9 @@ def inflection_times(eta: float, alpha: float) -> tuple[float, float]:
 def urr(p: CurveParams) -> float:
     """Area under the curve over all time (ultimate recoverable resources).
 
-    URR = -x0 * (eta + alpha^t0)^2 / (eta * alpha^t0 * ln(alpha)); positive
-    because ln(alpha) < 0.
+    URR = -4 * peak_value(p) / ln(alpha); positive because ln(alpha) < 0.
     """
-    a_t0 = alpha_pow(p.alpha, p.t0)
-    return -p.x0 * (p.eta + a_t0) ** 2 / (p.eta * a_t0 * math.log(p.alpha))
+    return -4.0 * peak_value(p) / math.log(p.alpha)
 
 
 def shift_parameters(eta: float, alpha: float, k: float) -> float:

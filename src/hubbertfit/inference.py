@@ -22,7 +22,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import likelihood as lik
 from . import optimize as opt
-from .curve import CurveParams, alpha_pow, peak_time, peak_value
+from .curve import CurveParams, _check_eta_alpha, alpha_pow, peak_time, peak_value
 from .errors import ConditioningError, OrderingError, ParameterDomainError
 from .likelihood import PanelData, SufficientStats
 from .process import conditional_mean
@@ -62,8 +62,9 @@ def fisher_information(theta, data) -> np.ndarray:
     pairs; symmetric by construction.
     """
     eta, alpha, sigma = (float(v) for v in theta)
-    if not eta > 0.0 or not 0.0 < alpha < 1.0 or not sigma > 0.0:
-        raise ParameterDomainError(f"invalid theta {theta}")
+    _check_eta_alpha(eta, alpha)
+    if not sigma > 0.0:
+        raise ParameterDomainError(f"sigma must be positive, got {sigma}")
     stats = lik._as_stats(data)
 
     # dT/d(eta), dT/d(alpha) per pair, T = ln(eta+alpha^s) - ln(eta+alpha^t)
@@ -214,7 +215,6 @@ class PeakEstimate:
     peak_time_se: float
     peak: float
     peak_se: float
-    peak_passed: bool
 
 
 @dataclass
@@ -261,14 +261,11 @@ def estimate_peak(fit: FitResult, y: float | None = None, s: float | None = None
         y_eff, s_shifted = y, s - k
 
     p_se = delta_error(peak_gradient(eta, alpha, y_eff, s_shifted), fit.cov)
-
-    # Peak lies after the first observation iff eta' < alpha^0 = 1.
     return PeakEstimate(
         peak_time=peak_time(eta, alpha) + k,
         peak_time_se=t_se,
         peak=peak_value(CurveParams(eta, alpha, y_eff, s_shifted)),
         peak_se=p_se,
-        peak_passed=eta >= 1.0,
     )
 
 

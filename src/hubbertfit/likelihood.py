@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curve import _check_eta_alpha
 from .errors import OrderingError, ParameterDomainError
 
 __all__ = [
@@ -195,10 +196,7 @@ def initial_mle(data) -> tuple[float, float]:
 
 
 def _check_theta(eta: float, alpha: float, sigma_sq: float = 1.0) -> None:
-    if not eta > 0.0:
-        raise ParameterDomainError(f"eta must be positive, got {eta}")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterDomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_eta_alpha(eta, alpha)
     if not sigma_sq > 0.0:
         raise ParameterDomainError(f"sigma_sq must be positive, got {sigma_sq}")
 

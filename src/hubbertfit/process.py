@@ -16,11 +16,11 @@ integrator).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import alpha_pow, _check_eta_alpha
+from .curve import CurveParams, _check_eta_alpha, _log_mean, hubbert_value
 from .errors import OrderingError, ParameterDomainError
 from .likelihood import PanelData
 
@@ -60,10 +60,6 @@ class InitialDistribution:
         if not x0 > 0.0:
             raise ParameterDomainError(f"x0 must be positive, got {x0}")
         return cls(mu0=math.log(x0), sigma0_sq=0.0)
-
-    @classmethod
-    def lognormal(cls, mu0: float, sigma0_sq: float) -> "InitialDistribution":
-        return cls(mu0=mu0, sigma0_sq=sigma0_sq)
 
     @property
     def mean(self) -> float:
@@ -113,13 +109,6 @@ class PathGrid:
         return float(self.times[0])
 
 
-def _log_mean_shift(eta: float, alpha: float, s, t) -> np.ndarray:
-    """2*ln((eta+alpha^s)/(eta+alpha^t)) without forming the ratio."""
-    return 2.0 * (
-        np.log(eta + alpha_pow(alpha, s)) - np.log(eta + alpha_pow(alpha, t))
-    )
-
-
 def transition_logpdf(x, t: float, y: float, s: float, p: ProcessParams):
     """Log transition density ln f(x, t | y, s); lognormal in x."""
     p.require_diffusive()
@@ -128,40 +117,25 @@ def transition_logpdf(x, t: float, y: float, s: float, p: ProcessParams):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0) or y <= 0.0:
         raise ParameterDomainError("states must be strictly positive")
-    dt = t - s
-    var = p.sigma**2 * dt
-    log_mean = (
-        math.log(y)
-        + _log_mean_shift(p.eta, p.alpha, s, t)
-        + (math.log(p.alpha) - 0.5 * p.sigma**2) * dt
-    )
-    z = np.log(x) - log_mean
+    var = p.sigma**2 * (t - s)
+    rate = math.log(p.alpha) - 0.5 * p.sigma**2
+    z = np.log(x) - _log_mean(math.log(y), t, s, p.eta, p.alpha, rate)
     out = -np.log(x) - 0.5 * (_LOG_2PI + math.log(var)) - z**2 / (2.0 * var)
     return out if out.ndim else float(out)
 
 
 def mean(t, p: ProcessParams):
-    """E[X(t)]: a Hubbert curve through (t0, E[X0]) with t0 = 0."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < p.t0):
-        raise OrderingError("t must be >= t0")
+    """E[X(t)] for t >= t0: the Hubbert curve through (t0, E[X0])."""
     return conditional_mean(t, p.init.mean, p.t0, p.eta, p.alpha)
 
 
 def conditional_mean(t, y: float, s: float, eta: float, alpha: float):
-    """E[X(t) | X(s) = y] = y * ((eta+alpha^s)/(eta+alpha^t))^2 * alpha^(t-s)."""
-    _check_eta_alpha(eta, alpha)
-    if y <= 0.0:
-        raise ParameterDomainError("conditioning value y must be positive")
+    """E[X(t) | X(s) = y] for t >= s: the Hubbert curve through (s, y)."""
+    curve = CurveParams(eta, alpha, y, s)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < s):
         raise OrderingError(f"require t >= s, got t={t}, s={s}")
-    log_m = (
-        math.log(y)
-        + _log_mean_shift(eta, alpha, s, t_arr)
-        + (t_arr - s) * math.log(alpha)
-    )
-    out = np.exp(log_m)
+    out = hubbert_value(t_arr, curve)
     return out if out.ndim else float(out)
 
 
@@ -177,13 +151,9 @@ def finite_dim_params(times, p: ProcessParams) -> tuple[np.ndarray, np.ndarray]:
         raise OrderingError("times must be strictly increasing")
     if np.any(times < p.t0):
         raise OrderingError("all times must be >= t0")
-    t0 = p.t0
-    mu = (
-        p.init.mu0
-        + _log_mean_shift(p.eta, p.alpha, t0, times)
-        + (math.log(p.alpha) - 0.5 * p.sigma**2) * (times - t0)
-    )
-    cov = p.init.sigma0_sq + p.sigma**2 * (np.minimum.outer(times, times) - t0)
+    rate = math.log(p.alpha) - 0.5 * p.sigma**2
+    mu = _log_mean(p.init.mu0, times, p.t0, p.eta, p.alpha, rate)
+    cov = p.init.sigma0_sq + p.sigma**2 * (np.minimum.outer(times, times) - p.t0)
     return mu, cov
 
 
@@ -219,9 +189,7 @@ def simulate_paths(
         x_start = np.full(n_paths, math.exp(p.init.mu0))
 
     # Deterministic trend through (t0, 1); scaled per path by its start value.
-    log_trend = _log_mean_shift(p.eta, p.alpha, t0, times) + (times - t0) * math.log(
-        p.alpha
-    )
+    log_trend = _log_mean(0.0, times, t0, p.eta, p.alpha, math.log(p.alpha))
 
     if p.sigma > 0.0:
         increments = rng.standard_normal((n_paths, n_steps)) * np.sqrt(np.diff(times))

@@ -57,7 +57,7 @@ def test_criterion_2_likelihood_oracle_equivalence():
         sigma = rng.uniform(0.02, 0.09)
         n_paths = int(rng.integers(1, 6))
         init = (
-            hf.InitialDistribution.lognormal(math.log(100.0), 0.01)
+            hf.InitialDistribution(math.log(100.0), 0.01)
             if n_paths > 1
             else hf.InitialDistribution.degenerate(100.0)
         )

@@ -87,11 +87,31 @@ def test_simulate_round_trip_lossless(tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize("grid", [
+    ("--step", "0"),
+    ("--step", "-1"),
+    ("--step", "inf"),
+    ("--step", "nan"),
+    ("--t-final", "-5"),
+    ("--t-final", "0"),
+    ("--t-final", "inf"),
+    ("--t0=-inf",),
+])
+def test_simulate_bad_grid_exit_code(tmp_path, capsys, grid):
+    out = tmp_path / "never.csv"
+    code = main(["simulate", "--eta", "0.1", "--alpha", "0.45", "--sigma", "0.05",
+                 *grid, "--out", str(out)])
+    assert code == 2, grid
+    err = capsys.readouterr().err
+    assert "--step" in err or "--t-final" in err
+    assert not out.exists()
+
+
 def test_bounds_bundled_reference(tmp_path, capsys):
     code = main(["bounds", "--data", "norway", "--urr", str(datasets.NORWAY_URR)])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["alpha_star"] == pytest.approx(0.8724, abs=1e-4)
     assert not doc["fallback"]
 
@@ -131,7 +151,7 @@ def test_fit_and_forecast_workflow(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(fit_out.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert 0.0 < doc["theta_hat"]["alpha"] < 1.0
     assert doc["config"]["seed"] == 11
     assert doc["peak"]["time"] > 0.0
@@ -226,6 +246,61 @@ def test_fit_config_float_field_takes_integer(tmp_path, capsys):
     data = simulate(tmp_path, extra=("--subsample",))
     cfg = write_config(tmp_path, {"sa": {"chain_length": 10, "t_final": 50, "probe_count": 20}})
     assert main(["fit", "--data", str(data), "--config", cfg, "--seed", "1"]) == 0
+
+
+def _fit_must_not_run(*args, **kwargs):
+    raise AssertionError("the fit ran before the arguments were checked")
+
+
+@pytest.mark.parametrize("bad", [
+    {"restarts": "2"},
+    {"restarts": 2.0},
+    {"restarts": True},
+    {"restarts": None},
+    {"seed": "x"},
+    {"seed": 1.5},
+    {"seed": False},
+    {"urr": "big"},
+    {"urr": True},
+    {"sigma_cap": "x"},
+    {"sigma_cap": None},
+])
+def test_config_top_level_type_exit_code(tmp_path, capsys, monkeypatch, bad):
+    monkeypatch.setattr(hf.inference, "fit", _fit_must_not_run)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    for command in ("fit", "bounds"):
+        capsys.readouterr()
+        assert main([command, "--data", "norway", "--config", str(path)]) == 2, (command, bad)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be" in captured.err
+
+
+@pytest.mark.parametrize("command", ["fit", "bounds"])
+def test_config_unknown_top_level_key_exit_code(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(hf.inference, "fit", _fit_must_not_run)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"restart": 2}))
+    assert main([command, "--data", "norway", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "restart" in err
+    assert "accepted: restarts, sa, seed, sigma_cap, urr, vns" in err
+
+
+def test_config_top_level_null_and_integer_values(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"urr": None, "seed": None, "restarts": 1, "sigma_cap": 1}))
+    assert main(["bounds", "--data", "norway", "--config", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fallback"] and doc["sigma_upper"] == 1
+
+
+def test_fit_peak_pair_checked_before_fit(capsys, monkeypatch):
+    monkeypatch.setattr(hf.inference, "fit", _fit_must_not_run)
+    for flag in ("--peak-x", "--peak-s"):
+        assert main(["fit", "--data", "norway", flag, "150"]) == 2
+        assert "--peak-x and --peak-s" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

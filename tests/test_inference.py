@@ -248,7 +248,6 @@ def test_peak_from_preperiod_estimates():
     est = hf.estimate_peak(fit, y=3019.0, s=1999.0)
     assert est.peak_time == pytest.approx(2001.579, abs=0.02)
     assert est.peak == pytest.approx(3133.323, rel=5e-4)
-    assert not est.peak_passed
 
 
 def test_peak_full_window_estimates():
@@ -274,11 +273,6 @@ def test_peak_uses_curve_formulas():
     est = hf.estimate_peak(synthetic_fit(0.0563, 0.9173, 0.0646, 1992.0), y=1632.0, s=2014.0)
     assert est.peak_time == hf.peak_time(0.0563, 0.9173) + 1992.0
     assert est.peak == hf.peak_value(hf.CurveParams(0.0563, 0.9173, 1632.0, 22.0))
-
-
-def test_peak_passed_flag():
-    fit = synthetic_fit(1.2, 0.45, 0.05, 0.0)
-    assert hf.estimate_peak(fit).peak_passed
 
 
 def test_peak_argument_validation():

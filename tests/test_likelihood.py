@@ -10,7 +10,7 @@ from hubbertfit.errors import OrderingError, ParameterDomainError
 
 def simulated_panel(seed, n_paths=5, sigma0_sq=0.01):
     init = (
-        hf.InitialDistribution.lognormal(math.log(100.0), sigma0_sq)
+        hf.InitialDistribution(math.log(100.0), sigma0_sq)
         if sigma0_sq > 0.0
         else hf.InitialDistribution.degenerate(100.0)
     )
@@ -20,7 +20,7 @@ def simulated_panel(seed, n_paths=5, sigma0_sq=0.01):
 
 
 def brute_force(panel, mu1, sigma1_sq, eta, alpha, sigma_sq):
-    init = hf.InitialDistribution.lognormal(mu1, sigma1_sq)
+    init = hf.InitialDistribution(mu1, sigma1_sq)
     p = hf.ProcessParams(eta=eta, alpha=alpha, sigma=math.sqrt(sigma_sq), init=init)
     total = 0.0
     for t, v in zip(panel.times, panel.values):

@@ -140,7 +140,7 @@ def test_simulate_log_increments_are_gaussian():
 
 
 def test_simulate_lognormal_start():
-    init = hf.InitialDistribution.lognormal(math.log(80.0), 0.04)
+    init = hf.InitialDistribution(math.log(80.0), 0.04)
     p2 = hf.ProcessParams(eta=0.1, alpha=0.45, sigma=0.05, init=init)
     grid = hf.PathGrid(np.array([0.0, 1.0]))
     panel = hf.simulate_paths(p2, grid, 30000, seed=21)
@@ -180,3 +180,17 @@ def test_param_validation():
         hf.transition_logpdf(1.0, 2.0, 1.0, 1.0, hf.ProcessParams(0.1, 0.45, 0.0, PP.init))
     with pytest.raises(OrderingError):
         hf.transition_logpdf(1.0, 1.0, 1.0, 2.0, PP)
+
+
+def test_hubbert_value_is_conditional_mean_bit_for_bit():
+    # one curve formula: the curve through (s, y) is E[X(t) | X(s) = y]
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        eta, alpha = rng.uniform(0.001, 2.0), rng.uniform(0.05, 0.99)
+        y, s = rng.uniform(1.0, 5000.0), rng.uniform(-20.0, 40.0)
+        t = s + rng.uniform(0.0, 60.0, 10)
+        curve = hf.hubbert_value(t, hf.CurveParams(eta, alpha, y, s))
+        assert np.array_equal(curve, hf.conditional_mean(t, y, s, eta, alpha))
+        assert hf.hubbert_value(t[0], hf.CurveParams(eta, alpha, y, s)) == hf.conditional_mean(
+            t[0], y, s, eta, alpha
+        )
