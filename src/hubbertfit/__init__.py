@@ -1,9 +1,11 @@
 """Hubbert diffusion process: estimation, peak forecasting, uncertainty.
 
 A library for fitting the stochastic Hubbert production model to panels
-of discretely observed sample paths, using simulated annealing and a
-hybrid VNS-SA metaheuristic on the exact likelihood, with Fisher/delta
-asymptotic errors and conditional-mean forecasts.
+of discretely observed sample paths by exact maximum likelihood, with
+Fisher/delta asymptotic errors and conditional-mean forecasts.  The
+default fit profiles sigma^2 out in closed form and runs Nelder-Mead over
+(eta, alpha); the paper's simulated annealing and hybrid VNS-SA
+metaheuristic over (eta, alpha, sigma) remain available.
 """
 
 from . import datasets

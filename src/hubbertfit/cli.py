@@ -124,6 +124,12 @@ def _config_block(cfg: dict, block: str, cls, file_keys: dict):
     return cls(**{fields[key].name: value for key, value in given.items()})
 
 
+def _check_seed(seed) -> None:
+    """numpy takes only non-negative seeds; refuse others before any work."""
+    if seed is not None and seed < 0:
+        raise DataFormatError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _resolved(cfg: dict, **overrides) -> dict:
     merged = dict(cfg)
     for key, value in overrides.items():
@@ -151,11 +157,17 @@ def cmd_simulate(args) -> int:
         raise DataFormatError(
             f"--t0 {args.t0} and --t-final {args.t_final} must be finite, with --t-final after --t0"
         )
+    n_steps = round((args.t_final - args.t0) / args.step)
+    if n_steps < 1:
+        raise DataFormatError(
+            f"--step {args.step} is longer than the window from --t0 {args.t0} to --t-final {args.t_final}"
+        )
+    _check_seed(args.seed)
     init = InitialDistribution.degenerate(args.x0)
     params = ProcessParams(
         eta=args.eta, alpha=args.alpha, sigma=args.sigma, init=init, t0=args.t0
     )
-    times = args.t0 + args.step * np.arange(round((args.t_final - args.t0) / args.step) + 1)
+    times = args.t0 + args.step * np.arange(n_steps + 1)
     panel = simulate_paths(params, PathGrid(times), args.n_paths, args.seed)
     if args.subsample:
         keep = np.isclose(np.mod(panel.times[0] - args.t0, 1.0), 0.0) | np.isclose(
@@ -253,6 +265,7 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     urr = args.urr if args.urr is not None else cfg.get("urr")
     seed = args.seed if args.seed is not None else cfg.get("seed")
+    _check_seed(seed)
     restarts = args.restarts if args.restarts is not None else cfg.get("restarts", 1)
     data = _load_data(args.data)
     fit = inference.fit(
@@ -333,13 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--digits", type=int, default=None)
     bnd.set_defaults(func=cmd_bounds)
 
-    fit_p = sub.add_parser("fit", help="maximum-likelihood fit via SA or VNS-SA")
+    fit_p = sub.add_parser("fit", help="maximum-likelihood fit (profiled likelihood, SA or VNS-SA)")
     fit_p.add_argument("--data", required=True,
                        help="panel CSV path, or 'norway' / 'kazakhstan'")
     fit_p.add_argument("--config", default=None)
     fit_p.add_argument("--urr", type=float, default=None)
     fit_p.add_argument("--seed", type=int, default=None)
-    fit_p.add_argument("--algorithm", choices=("sa", "vns-sa"), default="vns-sa")
+    fit_p.add_argument("--algorithm", choices=("profile", "sa", "vns-sa"), default="profile",
+                       help="profile: Nelder-Mead on the sigma-profiled likelihood (deterministic); "
+                       "sa, vns-sa: the paper's seeded annealing searches")
     fit_p.add_argument("--restarts", type=int, default=None)
     fit_p.add_argument("--peak-x", type=float, default=None,
                        help="conditioning production value for the peak estimate")

@@ -4,7 +4,9 @@ The pipeline shifts all times so the panel starts at 0 (which rescales
 eta to eta' = alpha^(-first_time) * eta and keeps it well away from the
 underflow regime), estimates the initial-distribution parameters in
 closed form, builds the bounded search box, and minimizes the likelihood
-objective with the hybrid VNS-SA search.
+objective.  By default sigma^2 is profiled out in closed form and
+Nelder-Mead searches (eta, alpha); the paper's simulated annealing and
+hybrid VNS-SA search over (eta, alpha, sigma) remain available.
 
 Standard errors come from the Fisher information of the transition
 likelihood; errors of parametric functions (peak, peak time, forecast
@@ -187,7 +189,7 @@ class FitResult:
     d: int
     box: bounds_mod.SolutionBox
     seed: object = None
-    algorithm: str = "vns-sa"
+    algorithm: str = "profile"
     n_restarts: int = 1
     stop_reason: str = ""
     n_evals: int = 0
@@ -314,28 +316,34 @@ def forecast(
     )
 
 
-def fit(
-    data: PanelData,
-    urr: float | None = None,
-    sa_config: opt.SAConfig = opt.SAConfig(),
-    vns_config: opt.VNSConfig = opt.VNSConfig(),
-    seed=None,
-    n_restarts: int = 1,
-    algorithm: str = "vns-sa",
-    sigma_cap: float = bounds_mod.SIGMA_UPPER_DEFAULT,
-) -> FitResult:
-    """Full estimation pipeline; deterministic for a fixed seed.
+def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
+    """Nelder-Mead over (eta, alpha) on the profiled objective.
 
-    Times are shifted by k = first observation time, the box is built
-    from the shifted panel (with the optional URR), and the objective is
-    minimized over (eta, alpha, sigma) by the requested algorithm, best
-    of n_restarts.
+    u in R^2 maps to the box by a logistic per coordinate, 1/(1 + e^-u)
+    written with tanh so that it cannot overflow, and is then clipped to
+    box.interior, so every point searched lies strictly inside the box;
+    the one start u = 0 is the box centre.  Returns theta, its objective
+    value, the objective calls made and the stop reason.
     """
-    k = data.t_first
-    shifted = data.shifted(k)
-    stats = SufficientStats.from_panel(shifted)
-    mu1, sigma1_sq = lik.initial_mle(stats)
-    box = bounds_mod.build_box(shifted, urr=urr, sigma_cap=sigma_cap)
+    lower, widths = box.lower[:2], box.widths[:2]
+    inner_lo, inner_hi = (b[:2] for b in box.interior)
+
+    def point(u):
+        logistic = 0.5 * (1.0 + np.tanh(0.5 * u))
+        eta, alpha = np.clip(lower + widths * logistic, inner_lo, inner_hi).tolist()
+        return eta, alpha
+
+    def profile(u):
+        return lik.profile_objective(stats, *point(u), box.sigma_range)[0]
+
+    result = opt.nelder_mead(profile, np.zeros(2))
+    eta, alpha = point(result.best.theta)
+    value, sigma = lik.profile_objective(stats, eta, alpha, box.sigma_range)
+    return (eta, alpha, sigma), value, result.n_evals + 1, result.stop_reason
+
+
+def _annealing_search(stats, box, sa_config, vns_config, seed, n_restarts, algorithm):
+    """The paper's SA or VNS-SA over (eta, alpha, sigma), best of n_restarts."""
 
     def objective(theta):
         # Python floats: scalar arithmetic on them is cheaper than on np.float64.
@@ -351,8 +359,52 @@ def fit(
         n_restarts=n_restarts,
         algorithm=algorithm,
     )
-    best = result.best
-    eta_hat, alpha_hat, sigma_hat = (float(v) for v in best.theta)
+    stop_reason = (
+        result.stop_reason if isinstance(result, opt.SAResult) else result.phase1.stop_reason
+    )
+    theta = tuple(float(v) for v in result.best.theta)
+    return theta, result.best.value, result.n_evals, stop_reason
+
+
+def fit(
+    data: PanelData,
+    urr: float | None = None,
+    sa_config: opt.SAConfig = opt.SAConfig(),
+    vns_config: opt.VNSConfig = opt.VNSConfig(),
+    seed=None,
+    n_restarts: int = 1,
+    algorithm: str = "profile",
+    sigma_cap: float = bounds_mod.SIGMA_UPPER_DEFAULT,
+) -> FitResult:
+    """Full estimation pipeline; deterministic for a fixed seed.
+
+    Times are shifted by k = first observation time, the box is built
+    from the shifted panel (with the optional URR), and the objective is
+    minimized over (eta, alpha, sigma) by the requested algorithm.
+
+    "profile" (the default) solves sigma^2 in closed form and runs one
+    deterministic Nelder-Mead over (eta, alpha) from the box centre; it
+    records seed but does not use it, ignores sa_config and vns_config,
+    and takes only n_restarts = 1.  "sa" and "vns-sa" are the paper's
+    annealing searches over all three parameters, best of n_restarts.
+    """
+    if algorithm == "profile" and n_restarts != 1:
+        raise ParameterDomainError(
+            f"the profile algorithm is deterministic and takes no restarts, got n_restarts={n_restarts}"
+        )
+    k = data.t_first
+    shifted = data.shifted(k)
+    stats = SufficientStats.from_panel(shifted)
+    mu1, sigma1_sq = lik.initial_mle(stats)
+    box = bounds_mod.build_box(shifted, urr=urr, sigma_cap=sigma_cap)
+
+    if algorithm == "profile":
+        theta, value, n_evals, stop_reason = _profile_search(stats, box)
+    else:
+        theta, value, n_evals, stop_reason = _annealing_search(
+            stats, box, sa_config, vns_config, seed, n_restarts, algorithm
+        )
+    eta_hat, alpha_hat, sigma_hat = theta
 
     warnings = []
     info = fisher_information((eta_hat, alpha_hat, sigma_hat), stats)
@@ -365,14 +417,11 @@ def fit(
     ll = lik.log_likelihood(
         stats, mu1, sigma1_sq, eta_hat, alpha_hat, sigma_hat**2
     )
-    stop_reason = (
-        result.stop_reason if isinstance(result, opt.SAResult) else result.phase1.stop_reason
-    )
     return FitResult(
-        theta_hat=(eta_hat, alpha_hat, sigma_hat),
+        theta_hat=theta,
         mu1_hat=mu1,
         sigma1_sq_hat=sigma1_sq,
-        objective_value=best.value,
+        objective_value=value,
         log_likelihood=ll,
         fisher=info,
         cov=cov,
@@ -384,6 +433,6 @@ def fit(
         algorithm=algorithm,
         n_restarts=n_restarts,
         stop_reason=stop_reason,
-        n_evals=result.n_evals,
+        n_evals=n_evals,
         warnings=warnings,
     )

@@ -30,6 +30,7 @@ __all__ = [
     "eta_alpha_sums",
     "log_likelihood",
     "objective",
+    "profile_objective",
     "INFEASIBLE",
 ]
 
@@ -291,3 +292,34 @@ def objective(data, eta: float, alpha: float, sigma_sq: float) -> float:
     """
     _check_theta(eta, alpha, sigma_sq)
     return _objective(_as_stats(data), eta, alpha, sigma_sq)
+
+
+def profile_objective(
+    stats: SufficientStats, eta: float, alpha: float, sigma_range: tuple
+) -> tuple[float, float]:
+    """(min over sigma of the objective at (eta, alpha), that sigma).
+
+    With v = sigma^2 the objective is (n/2) ln v + C0/(2v) + C1/2 + z2 v/8,
+    n = N - d and C0 the bracket at drift ln(alpha).  Its derivative in v
+    has the single root v* = 2(sqrt(n^2 + z2 C0) - n)/z2, written below
+    without the cancellation; the objective falls before v* and rises
+    after, so v* clipped to the interior of sigma_range (the margin of
+    SolutionBox.clip_interior) is the minimizer over the box.  The value
+    is objective() at that sigma, so it is exactly the 3-d objective at
+    the returned point.
+    """
+    _check_theta(eta, alpha)
+    log_alpha = math.log(alpha)
+    y1, y2, r = _pair_sums(stats, eta, log_alpha)
+    c0 = (
+        stats.z1
+        + 4.0 * (y1 - y2)
+        + log_alpha * (log_alpha * stats.z2 - 2.0 * (stats.z3 - 2.0 * r))
+    )
+    n = stats.n_transitions
+    v = 2.0 * c0 / (math.sqrt(n * n + stats.z2 * c0) + n)
+    lo, hi = sigma_range
+    eps = 1e-12 * (hi - lo)
+    # not v > 0 also holds for a NaN v, where objective() is INFEASIBLE at any sigma
+    sigma = min(max(math.sqrt(v) if v > 0.0 else 0.0, lo + eps), hi - eps)
+    return objective(stats, eta, alpha, sigma * sigma), sigma

@@ -1,4 +1,4 @@
-"""Simulated annealing and a hybrid VNS-SA search over a 3-d box.
+"""Simulated annealing, a hybrid VNS-SA search over a 3-d box, and Nelder-Mead.
 
 Generic over any objective f(theta) -> float; +inf marks an infeasible
 point that is never accepted.  The annealer follows the classic recipe:
@@ -8,6 +8,9 @@ that stops once the chain's value sequence has been flat for a window.
 The variable-neighborhood phase re-runs SA inside boxes of growing size
 centered on the incumbent; any strict improvement recenters and restarts
 from the smallest neighborhood.
+
+Nelder-Mead is the unconstrained simplex search that fits the profiled
+(eta, alpha) objective; the caller maps R^n onto its box.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ __all__ = [
     "vns_neighborhood",
     "vns_sa",
     "multistart",
+    "NMResult",
+    "nelder_mead",
 ]
 
 # Proposal half-width at the initial temperature, as a fraction of each
@@ -46,6 +51,11 @@ _MAX_START_TRIES = 1000
 
 # Cap on the VNS local searches (SA runs) after phase 1.
 _MAX_LOCAL_SEARCHES = 200
+
+# Nelder-Mead stops once every vertex is this close to the best one in f
+# and in each coordinate, or after _NM_MAX_ITER iterations.
+_NM_TOLERANCE = 1e-10
+_NM_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,13 @@ class SAResult:
     best: Candidate
     trace: list
     t_initial: float
+    stop_reason: str
+    n_evals: int
+
+
+@dataclass
+class NMResult:
+    best: Candidate
     stop_reason: str
     n_evals: int
 
@@ -364,3 +381,57 @@ def multistart(
         else:
             results.append(vns_sa(objective, box, sa_config, vns_config, stream))
     return min(results, key=lambda r: r.best.value)
+
+
+def nelder_mead(f, x0) -> NMResult:
+    """Minimize f over R^n by the Nelder-Mead simplex search.
+
+    Standard coefficients: reflection 1, expansion 2, contraction 1/2 and
+    shrink 1/2 (Nelder and Mead, Comput. J. 1965, in the form of Lagarias
+    et al., SIAM J. Optim. 1998).  The first simplex is x0 and x0 plus a
+    unit step along each axis.  stop_reason is "converged" when the
+    simplex spans at most 1e-10 in f and in every coordinate, else
+    "max_iter" after 1000 iterations.  Deterministic; f may return +inf,
+    never NaN.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    simplex = [x0, *(x0 + unit for unit in np.eye(x0.size))]
+    values = [f(x) for x in simplex]
+    n_evals = len(simplex)
+    stop_reason = "max_iter"
+    for _ in range(_NM_MAX_ITER):
+        order = sorted(range(len(values)), key=values.__getitem__)
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        best, worst = simplex[0], simplex[-1]
+        if values[-1] - values[0] <= _NM_TOLERANCE and all(
+            np.max(np.abs(x - best)) <= _NM_TOLERANCE for x in simplex[1:]
+        ):
+            stop_reason = "converged"
+            break
+        centroid = np.mean(simplex[:-1], axis=0)
+        step = centroid - worst
+        reflected = centroid + step
+        f_r = f(reflected)
+        n_evals += 1
+        if f_r < values[0]:
+            expanded = centroid + 2.0 * step
+            f_e = f(expanded)
+            n_evals += 1
+            simplex[-1], values[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
+            continue
+        if f_r < values[-2]:
+            simplex[-1], values[-1] = reflected, f_r
+            continue
+        outside = f_r < values[-1]
+        contracted = centroid + (0.5 if outside else -0.5) * step
+        f_c = f(contracted)
+        n_evals += 1
+        if (f_c <= f_r) if outside else (f_c < values[-1]):
+            simplex[-1], values[-1] = contracted, f_c
+            continue
+        simplex = [best, *(best + 0.5 * (x - best) for x in simplex[1:])]
+        values = [values[0], *(f(x) for x in simplex[1:])]
+        n_evals += len(simplex) - 1
+    i = min(range(len(values)), key=values.__getitem__)
+    return NMResult(best=Candidate(simplex[i], values[i]), stop_reason=stop_reason, n_evals=n_evals)

@@ -287,8 +287,8 @@ def test_criterion_8_determinism(tmp_path):
 
     panel = datasets.load_panel_csv(a)
     config = hf.SAConfig(chain_length=10, t_final=50.0, init_probe_count=20)
-    f1 = hf.fit(panel, seed=12, sa_config=config)
-    f2 = hf.fit(panel, seed=12, sa_config=config)
+    f1 = hf.fit(panel, seed=12, algorithm="vns-sa", sa_config=config)
+    f2 = hf.fit(panel, seed=12, algorithm="vns-sa", sa_config=config)
     fields = [
         ("theta_hat", f1.theta_hat == f2.theta_hat),
         ("objective", f1.objective_value == f2.objective_value),

@@ -96,6 +96,7 @@ def test_simulate_round_trip_lossless(tmp_path):
     ("--t-final", "0"),
     ("--t-final", "inf"),
     ("--t0=-inf",),
+    ("--step", "100"),  # longer than the window: a one-point grid
 ])
 def test_simulate_bad_grid_exit_code(tmp_path, capsys, grid):
     out = tmp_path / "never.csv"
@@ -275,6 +276,40 @@ def test_config_top_level_type_exit_code(tmp_path, capsys, monkeypatch, bad):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be" in captured.err
+
+
+def test_negative_seed_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hf.inference, "fit", _fit_must_not_run)
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": -1}))
+    out = tmp_path / "never.csv"
+    for argv in (
+        ["fit", "--data", "norway", "--seed", "-1"],
+        ["fit", "--data", "norway", "--config", str(config)],
+        ["simulate", "--eta", "0.1", "--alpha", "0.45", "--sigma", "0.05", "--seed", "-1",
+         "--out", str(out)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert "non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_algorithm_choice(tmp_path):
+    data = simulate(tmp_path, extra=("--subsample",))
+    cfg = write_config(tmp_path)
+    docs = {}
+    for algorithm in (None, "vns-sa"):
+        out = tmp_path / f"{algorithm}.json"
+        extra = [] if algorithm is None else ["--algorithm", algorithm]
+        assert main(["fit", "--data", str(data), "--config", cfg, "--seed", "1",
+                     "--out", str(out), *extra]) == 0
+        docs[algorithm] = json.loads(out.read_text())
+    assert docs[None]["algorithm"] == docs[None]["config"]["algorithm"] == "profile"
+    assert docs[None]["stop_reason"] == "converged"
+    assert docs["vns-sa"]["algorithm"] == "vns-sa"
+    assert docs["vns-sa"]["stop_reason"] in ("stall", "temperature")
+    assert docs[None]["objective"] <= docs["vns-sa"]["objective"]
 
 
 @pytest.mark.parametrize("command", ["fit", "bounds"])

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import math
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 import hubbertfit as hf
 from hubbertfit import inference
 from hubbertfit.bounds import SolutionBox
+from hubbertfit.datasets import KAZAKHSTAN_URR, NORWAY_URR, load_kazakhstan, load_norway
 from hubbertfit.errors import ConditioningError, OrderingError, ParameterDomainError
 from hubbertfit.likelihood import SufficientStats
 
@@ -416,3 +418,52 @@ def test_fit_sa_algorithm_not_better_than_hybrid():
     sa = hf.fit(panel, seed=3, algorithm="sa", sa_config=FAST_SA)
     hybrid = hf.fit(panel, seed=3, algorithm="vns-sa", sa_config=FAST_SA)
     assert hybrid.objective_value <= sa.objective_value
+
+
+# ---------------------------------------------------------------------------
+# The default fit: Nelder-Mead on the sigma-profiled likelihood
+# ---------------------------------------------------------------------------
+
+
+def test_profile_fit_is_deterministic_and_ignores_the_annealer_settings():
+    panel = small_panel()
+    a = hf.fit(panel, seed=1)
+    b = hf.fit(panel, seed=2, sa_config=hf.SAConfig(chain_length=3), vns_config=hf.VNSConfig(k_max=1))
+    assert (a.theta_hat, a.objective_value, a.n_evals) == (b.theta_hat, b.objective_value, b.n_evals)
+    assert (a.algorithm, a.stop_reason, b.seed) == ("profile", "converged", 2)
+    assert a.box.contains(a.theta_hat)
+    stats = SufficientStats.from_panel(panel.shifted(panel.t_first))
+    eta, alpha, sigma = a.theta_hat
+    assert a.objective_value == hf.objective(stats, eta, alpha, sigma**2)
+    with pytest.raises(ParameterDomainError, match="restarts"):
+        hf.fit(panel, n_restarts=2)
+
+
+def load_oracle():
+    """perfbench's scipy multistart optimum of the profiled likelihood."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_panel(seed):
+    p = hf.ProcessParams(
+        eta=0.1, alpha=0.45, sigma=0.05, init=hf.InitialDistribution.degenerate(100.0)
+    )
+    return hf.simulate_paths(p, GRID, 50, seed)
+
+
+@pytest.mark.parametrize("panel, urr", [
+    pytest.param(lambda: reference_panel(1), None, id="ref-panel-seed1"),
+    pytest.param(lambda: reference_panel(3), None, id="ref-panel-seed3"),
+    pytest.param(load_norway, NORWAY_URR, id="norway-urr"),
+    pytest.param(load_kazakhstan, KAZAKHSTAN_URR, id="kazakhstan-urr"),
+])
+def test_fit_lands_within_1e6_nats_of_the_profiled_optimum(panel, urr):
+    panel = panel()
+    fit = hf.fit(panel, urr=urr)
+    shifted = panel.shifted(panel.t_first)
+    best = load_oracle().profiled_optimum(hf, SufficientStats.from_panel(shifted), hf.build_box(shifted, urr=urr))
+    assert abs(fit.objective_value - best["value"]) <= 1e-6

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hubbertfit as hf
-from hubbertfit.likelihood import INFEASIBLE, SufficientStats
+from hubbertfit.likelihood import INFEASIBLE, SufficientStats, profile_objective
 from hubbertfit.errors import OrderingError, ParameterDomainError
 
 
@@ -145,6 +145,32 @@ def test_sigma_sq_first_order_condition():
     left = hf.objective(panel, eta, alpha, res.x - h)
     right = hf.objective(panel, eta, alpha, res.x + h)
     assert left > res.fun and right > res.fun
+
+
+@pytest.mark.parametrize("eta, alpha, sigma_range, clipped", [
+    (0.1, 0.45, (0.0, 0.1), None),  # v* inside the box
+    (0.02, 0.9, (0.0, 0.3), None),  # far from the data's (eta, alpha)
+    (0.1, 0.45, (0.0, 0.03), "upper"),  # v* above the box
+    (0.1, 0.45, (0.08, 0.1), "lower"),  # v* below the box
+])
+def test_profile_objective_is_the_minimum_over_sigma(eta, alpha, sigma_range, clipped):
+    from scipy.optimize import minimize_scalar
+
+    stats = SufficientStats.from_panel(simulated_panel(10))
+    value, sigma = profile_objective(stats, eta, alpha, sigma_range)
+    assert value == hf.objective(stats, eta, alpha, sigma * sigma)
+    lo, hi = sigma_range
+    eps = 1e-12 * (hi - lo)  # the margin of SolutionBox.clip_interior
+    assert lo + eps <= sigma <= hi - eps
+    if clipped is not None:
+        assert sigma == (hi - eps if clipped == "upper" else lo + eps)
+    numeric = minimize_scalar(
+        lambda v: hf.objective(stats, eta, alpha, v),
+        bounds=((lo + eps) ** 2, (hi - eps) ** 2),
+        method="bounded",
+        options={"xatol": 1e-14 * hi**2},
+    )
+    assert numeric.fun >= value - 1e-9 * max(1.0, abs(value))
 
 
 def test_initial_mle_single_path():

@@ -6,7 +6,8 @@ from scipy import stats
 
 import hubbertfit as hf
 from hubbertfit.errors import InitializationError, ParameterDomainError
-from hubbertfit.optimize import FALLBACK_T0, Candidate, _half_width, _propose
+from hubbertfit import optimize
+from hubbertfit.optimize import FALLBACK_T0, Candidate, _half_width, _propose, nelder_mead
 
 BOX = hf.SolutionBox()
 
@@ -233,3 +234,46 @@ def test_config_validation():
         hf.SAConfig(t_final=0.0)
     with pytest.raises(ParameterDomainError):
         hf.VNSConfig(k_max=0)
+
+
+def counted(f):
+    """f and the list of points it was called at."""
+    points = []
+
+    def g(x):
+        points.append(np.array(x))
+        return f(x)
+
+    return g, points
+
+
+def rosenbrock(x):
+    return float((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+
+
+def test_nelder_mead_converges_on_rosenbrock():
+    f, points = counted(rosenbrock)
+    res = nelder_mead(f, [-1.2, 1.0])
+    assert res.stop_reason == "converged"
+    np.testing.assert_allclose(res.best.theta, [1.0, 1.0], atol=1e-8)
+    assert res.n_evals == len(points)
+    assert res.best.value == rosenbrock(res.best.theta) == min(rosenbrock(x) for x in points)
+
+
+def test_nelder_mead_stays_out_of_infeasible_points():
+    # +inf where x0 <= 0; the minimum (0.5, -1) lies inside the feasible half-plane
+    def f(x):
+        return float((x[0] - 0.5) ** 2 + (x[1] + 1.0) ** 2) if x[0] > 0.0 else math.inf
+
+    res = nelder_mead(f, [2.0, 2.0])
+    assert res.stop_reason == "converged"
+    np.testing.assert_allclose(res.best.theta, [0.5, -1.0], atol=1e-8)
+
+
+def test_nelder_mead_stops_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(optimize, "_NM_MAX_ITER", 5)
+    f, points = counted(rosenbrock)
+    res = nelder_mead(f, [-1.2, 1.0])
+    assert res.stop_reason == "max_iter"
+    assert res.n_evals == len(points)
+    assert res.best.value == min(rosenbrock(x) for x in points)

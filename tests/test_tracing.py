@@ -28,7 +28,8 @@ panel = hf.simulate_paths(
                      init=hf.InitialDistribution.degenerate(100.0)),
     hf.PathGrid(np.arange(0.0, 21.0)), 5, 7,
 )
-fit = hf.fit(panel, seed=1, sa_config=hf.SAConfig(chain_length=10, t_final=50.0, init_probe_count=20))
+fit = hf.fit(panel, seed=1, algorithm=sys.argv[1],
+             sa_config=hf.SAConfig(chain_length=10, t_final=50.0, init_probe_count=20))
 spans = SpanSet(tracer, 0, tracer.mark())
 under_fit = spans.nearest("inference.fit") >= 0
 print(json.dumps({
@@ -42,14 +43,27 @@ print(json.dumps({
 """
 
 
-def test_tracer_sees_every_layer_of_a_fit():
+def traced_fit(algorithm):
     path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD], capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", CHILD, algorithm], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=path), check=True,
     )
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_tracer_sees_every_layer_of_a_fit():
+    out = traced_fit("vns-sa")
     assert set(out["labels"]) <= set(out["registered"])
+    assert out["fits"] == 1
+    assert out["objective_calls"] == out["n_evals"] > 0
+    assert out["cov_spans"] == 1
+
+
+def test_tracer_counts_every_objective_call_of_a_profile_fit():
+    # the profiled objective calls likelihood.objective through its module
+    # global, once per evaluation the fit counts
+    out = traced_fit("profile")
     assert out["fits"] == 1
     assert out["objective_calls"] == out["n_evals"] > 0
     assert out["cov_spans"] == 1
