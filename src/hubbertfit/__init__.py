@@ -14,7 +14,6 @@ from .curve import (
     CurveParams,
     hubbert_value,
     inflection_times,
-    logistic_value,
     peak_time,
     peak_value,
     shift_parameters,
@@ -40,14 +39,12 @@ from .likelihood import (
     objective,
 )
 from .optimize import (
-    Candidate,
     SAConfig,
     VNSConfig,
     initial_temperature,
     metropolis_step,
     multistart,
     simulated_annealing,
-    vns_neighborhood,
     vns_sa,
 )
 from .process import (

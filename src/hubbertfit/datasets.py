@@ -15,6 +15,7 @@ under which the documented alpha bounds hold for these exact numbers.
 from __future__ import annotations
 
 import csv
+import math
 from importlib import resources
 
 import numpy as np
@@ -46,6 +47,10 @@ def _parse_row(row: list, line_no: int) -> tuple[str, float, float]:
         v = float(row[2])
     except ValueError as exc:
         raise DataFormatError(f"line {line_no}: non-numeric field ({exc})") from None
+    if not (math.isfinite(t) and math.isfinite(v)):
+        raise DataFormatError(
+            f"line {line_no}: time and value must be finite, got {row[1]!r}, {row[2]!r}"
+        )
     if not v > 0.0:
         raise DataFormatError(f"line {line_no}: value must be positive, got {row[2]}")
     return path_id, t, v

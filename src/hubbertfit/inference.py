@@ -325,12 +325,14 @@ def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
     the one start u = 0 is the box centre.  Returns theta, its objective
     value, the objective calls made and the stop reason.
     """
-    lower, widths = box.lower[:2], box.widths[:2]
-    inner_lo, inner_hi = (b[:2] for b in box.interior)
+    (lo_eta, lo_alpha), (w_eta, w_alpha) = box.lower[:2].tolist(), box.widths[:2].tolist()
+    (in_lo_eta, in_lo_alpha), (in_hi_eta, in_hi_alpha) = (b[:2].tolist() for b in box.interior)
 
     def point(u):
-        logistic = 0.5 * (1.0 + np.tanh(0.5 * u))
-        eta, alpha = np.clip(lower + widths * logistic, inner_lo, inner_hi).tolist()
+        # np.tanh, not math.tanh: the two differ in the last bit
+        g_eta, g_alpha = (0.5 * (1.0 + np.tanh(0.5 * u))).tolist()
+        eta = min(max(lo_eta + w_eta * g_eta, in_lo_eta), in_hi_eta)
+        alpha = min(max(lo_alpha + w_alpha * g_alpha, in_lo_alpha), in_hi_alpha)
         return eta, alpha
 
     def profile(u):
@@ -407,6 +409,11 @@ def fit(
     eta_hat, alpha_hat, sigma_hat = theta
 
     warnings = []
+    if algorithm == "profile" and stop_reason == "max_iter":
+        warnings.append(
+            "the profile search stopped at the Nelder-Mead iteration cap "
+            "without converging"
+        )
     info = fisher_information((eta_hat, alpha_hat, sigma_hat), stats)
     try:
         cov = asymptotic_cov(info, sigma_hat)

@@ -44,13 +44,22 @@ INFEASIBLE = math.inf
 _sum = np.add.reduce
 
 
+def _raise_path_error(i: int, t: np.ndarray, v: np.ndarray) -> None:
+    """Raise the error of path i, which fails at least one check."""
+    if not np.all(np.diff(t) > 0.0):
+        raise OrderingError(f"path {i}: times must be strictly increasing")
+    if not np.all(v > 0.0):
+        raise ParameterDomainError(f"path {i}: values must be positive")
+    raise ParameterDomainError(f"path {i}: times and values must be finite")
+
+
 @dataclass(frozen=True)
 class PanelData:
     """d >= 1 sample paths: per-path time and value arrays.
 
-    Times are strictly increasing within each path, values strictly
-    positive, and every path starts at the same first time (required for
-    the shared initial distribution).
+    Times are finite and strictly increasing within each path, values
+    finite and strictly positive, and every path starts at the same first
+    time (required for the shared initial distribution).
     """
 
     times: list
@@ -61,17 +70,33 @@ class PanelData:
             raise ParameterDomainError("need matching, nonempty time/value lists")
         times = [np.asarray(t, dtype=float) for t in self.times]
         values = [np.asarray(v, dtype=float) for v in self.values]
-        for i, (t, v) in enumerate(zip(times, values)):
-            if t.shape != v.shape or t.ndim != 1 or t.size < 2:
-                raise ParameterDomainError(
-                    f"path {i}: times and values must be 1-d, equal length >= 2"
-                )
-            if not np.all(np.diff(t) > 0.0):
-                raise OrderingError(f"path {i}: times must be strictly increasing")
-            if not np.all(v > 0.0):
-                raise ParameterDomainError(f"path {i}: values must be positive")
-        first = times[0][0]
-        if any(t[0] != first for t in times):
+        # The paths before the first misshapen one are checked at once; the
+        # first path that fails any check is reported, as a path-by-path
+        # scan would.
+        n_ok = next(
+            (
+                i
+                for i, (t, v) in enumerate(zip(times, values))
+                if t.shape != v.shape or t.ndim != 1 or t.size < 2
+            ),
+            len(times),
+        )
+        if n_ok:
+            t_all = np.concatenate(times[:n_ok])
+            v_all = np.concatenate(values[:n_ok])
+            ends = np.cumsum([t.size for t in times[:n_ok]])
+            rising = np.diff(t_all) > 0.0
+            rising[ends[:-1] - 1] = True  # the steps from one path to the next
+            ok = (v_all > 0.0) & np.isfinite(t_all) & np.isfinite(v_all)
+            ok[1:] &= rising
+            if not ok.all():
+                i = int(np.searchsorted(ends, ok.argmin(), side="right"))
+                _raise_path_error(i, times[i], values[i])
+        if n_ok < len(times):
+            raise ParameterDomainError(
+                f"path {n_ok}: times and values must be 1-d, equal length >= 2"
+            )
+        if np.any(t_all[ends[:-1]] != t_all[0]):
             raise OrderingError("all paths must share the same first time")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
@@ -133,44 +158,58 @@ class SufficientStats:
     log_x_first: np.ndarray
     log_lik_offset: float
 
+    # (eta, log_alpha, sums) of the last _pair_sums call on this object
+    _pair_memo = (None, None, None)
+
     @classmethod
     def from_panel(cls, data: PanelData) -> "SufficientStats":
-        s_all = np.concatenate([t[:-1] for t in data.times])
-        t_all = np.concatenate([t[1:] for t in data.times])
-        u_all = np.concatenate(
-            [np.diff(np.log(v)) for v in data.values]
-        )
+        sizes = [t.size for t in data.times]
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        times = np.concatenate(data.times)
+        values = np.concatenate(data.values)
+        log_v = np.log(values)
+        within = np.ones(times.size - 1, dtype=bool)
+        within[ends[:-1] - 1] = False  # drop the steps from one path to the next
+        s_all = times[:-1][within]
+        t_all = times[1:][within]
+        u_all = np.diff(log_v)[within]
         dt_all = t_all - s_all
 
         z1 = float(np.sum(u_all**2 / dt_all))
-        z2 = float(sum(t[-1] - t[0] for t in data.times))
-        z3 = float(sum(math.log(v[-1] / v[0]) for v in data.values))
+        # z2, z3 and the offset are summed path by path, in path order; the
+        # float sums, and so every fit's last bits, depend on that order
+        z2 = float(sum((times[ends - 1] - times[starts]).tolist()))
+        z3 = float(sum(map(math.log, (values[ends - 1] / values[starts]).tolist())))
+        log_v_rest = sum(_sum(log_v[a + 1 : b]) for a, b in zip(starts.tolist(), ends.tolist()))
 
-        pairs = np.column_stack([s_all, t_all])
-        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        n_pairs = uniq.shape[0]
+        # A pair (s, t) is keyed by the ranks of s and t among the unique
+        # times; the keys sort in the lexicographic (s, t) order.
+        u_times, rank = np.unique(times, return_inverse=True)
+        n_u = u_times.size
+        key = rank[:-1][within] * n_u + rank[1:][within]
+        pair_key, inverse = np.unique(key, return_inverse=True)
+        n_pairs = pair_key.size
+        pair_lo, pair_hi = np.divmod(pair_key, n_u)
         count = np.bincount(inverse, minlength=n_pairs).astype(float)
         usum = np.bincount(inverse, weights=u_all, minlength=n_pairs)
-
-        u_times, flat_idx = np.unique(uniq.ravel(), return_inverse=True)
-        idx = flat_idx.reshape(n_pairs, 2)
 
         return cls(
             z1=z1,
             z2=z2,
             z3=z3,
-            n_obs=data.n_obs,
-            d=data.d,
+            n_obs=times.size,
+            d=len(sizes),
             u_times=u_times,
-            pair_lo=idx[:, 0],
-            pair_hi=idx[:, 1],
-            pair_inv_dt=1.0 / (uniq[:, 1] - uniq[:, 0]),
+            pair_lo=pair_lo,
+            pair_hi=pair_hi,
+            pair_inv_dt=1.0 / (u_times[pair_hi] - u_times[pair_lo]),
             pair_count=count,
             pair_usum=usum,
-            log_x_first=np.log(data.initial_values()),
+            log_x_first=log_v[starts],
             log_lik_offset=(
                 0.5 * s_all.size * math.log(2.0 * math.pi)
-                + float(sum(np.sum(np.log(v[1:])) for v in data.values))
+                + float(log_v_rest)
                 + 0.5 * float(np.sum(np.log(dt_all)))
             ),
         )
@@ -209,8 +248,14 @@ def _pair_sums(
 
     The one likelihood kernel: ln(eta + alpha^t) is evaluated once per
     unique time and T_ij once per unique transition pair.  It runs on
-    every objective evaluation.
+    every objective evaluation, except that a repeat of the last call on
+    the same stats at equal (eta, log_alpha) returns the stored sums, so
+    profile_objective's call to objective at the point it just summed
+    costs no second pass.
     """
+    memo_eta, memo_log_alpha, sums = stats._pair_memo
+    if eta == memo_eta and log_alpha == memo_log_alpha:
+        return sums
     lw = np.log(eta + np.exp(stats.u_times * log_alpha))
     t_pair = lw.take(stats.pair_lo) - lw.take(stats.pair_hi)
     count = stats.pair_count
@@ -218,7 +263,9 @@ def _pair_sums(
     y1 = float(_sum(count * t_pair**2 * inv_dt))
     y2 = float(_sum(stats.pair_usum * t_pair * inv_dt))
     r = float(_sum(count * t_pair))
-    return y1, y2, r
+    sums = (y1, y2, r)
+    object.__setattr__(stats, "_pair_memo", (eta, log_alpha, sums))
+    return sums
 
 
 def eta_alpha_sums(data, eta: float, alpha: float) -> tuple[float, float, float]:
@@ -306,7 +353,7 @@ def profile_objective(
     after, so v* clipped to the interior of sigma_range (the margin of
     SolutionBox.clip_interior) is the minimizer over the box.  The value
     is objective() at that sigma, so it is exactly the 3-d objective at
-    the returned point.
+    the returned point; that call reuses the sums computed here.
     """
     _check_theta(eta, alpha)
     log_alpha = math.log(alpha)

@@ -409,7 +409,7 @@ def nelder_mead(f, x0) -> NMResult:
         ):
             stop_reason = "converged"
             break
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = sum(simplex[:-1]) / (len(simplex) - 1)
         step = centroid - worst
         reflected = centroid + step
         f_r = f(reflected)

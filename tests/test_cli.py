@@ -134,6 +134,27 @@ def test_bounds_bad_row_exit_code(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["0,inf,4", "0,3,inf"])
+def test_fit_non_finite_row_exit_code(tmp_path, capsys, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"path_id,time,value\n0,0,1.0\n0,1,2.0\n0,2,3.0\n{row}\n")
+    code = main(["fit", "--data", str(bad)])
+    assert code == 2
+    assert "line 5" in capsys.readouterr().err
+
+
+def test_fit_document_carries_the_max_iter_warning(tmp_path, monkeypatch):
+    monkeypatch.setattr("hubbertfit.optimize._NM_MAX_ITER", 20)
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--data", "norway", "--urr", str(datasets.NORWAY_URR), "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["stop_reason"] == "max_iter"
+    assert doc["warnings"] == [
+        "the profile search stopped at the Nelder-Mead iteration cap without converging"
+    ]
+
+
 def test_missing_data_file_exit_code(capsys):
     code = main(["fit", "--data", "/tmp/definitely_missing.csv", "--seed", "0"])
     assert code == 2

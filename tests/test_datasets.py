@@ -66,6 +66,12 @@ def test_parse_errors_cite_line_numbers():
         parse("path_id,time,value\n")
 
 
+@pytest.mark.parametrize("row", ["0,inf,4", "0,-inf,4", "0,nan,4", "0,3,inf", "0,3,nan"])
+def test_parse_rejects_non_finite_fields(row):
+    with pytest.raises(DataFormatError, match="line 4: time and value must be finite"):
+        parse(f"path_id,time,value\n0,0,1.0\n0,1,2.0\n{row}\n")
+
+
 def test_missing_file():
     with pytest.raises(DataFormatError, match="no_such"):
         datasets.load_panel_csv("/tmp/no_such_panel.csv")

@@ -467,3 +467,14 @@ def test_fit_lands_within_1e6_nats_of_the_profiled_optimum(panel, urr):
     shifted = panel.shifted(panel.t_first)
     best = load_oracle().profiled_optimum(hf, SufficientStats.from_panel(shifted), hf.build_box(shifted, urr=urr))
     assert abs(fit.objective_value - best["value"]) <= 1e-6
+
+
+def test_profile_fit_warns_when_the_search_hits_max_iter(monkeypatch):
+    converged = hf.fit(load_norway(), urr=NORWAY_URR)
+    assert converged.stop_reason == "converged" and converged.warnings == []
+    monkeypatch.setattr("hubbertfit.optimize._NM_MAX_ITER", 20)
+    capped = hf.fit(load_norway(), urr=NORWAY_URR)
+    assert capped.stop_reason == "max_iter"
+    assert capped.warnings == [
+        "the profile search stopped at the Nelder-Mead iteration cap without converging"
+    ]

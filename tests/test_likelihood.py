@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import hubbertfit as hf
+from hubbertfit import likelihood
 from hubbertfit.likelihood import INFEASIBLE, SufficientStats, profile_objective
 from hubbertfit.errors import OrderingError, ParameterDomainError
 
@@ -173,6 +175,124 @@ def test_profile_objective_is_the_minimum_over_sigma(eta, alpha, sigma_range, cl
     assert numeric.fun >= value - 1e-9 * max(1.0, abs(value))
 
 
+def per_transition_stats(data):
+    """SufficientStats built transition by transition, pairs by np.unique over (s, t) rows."""
+    s_all = np.concatenate([t[:-1] for t in data.times])
+    t_all = np.concatenate([t[1:] for t in data.times])
+    u_all = np.concatenate([np.diff(np.log(v)) for v in data.values])
+    dt_all = t_all - s_all
+    pairs = np.column_stack([s_all, t_all])
+    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    n_pairs = uniq.shape[0]
+    u_times, flat_idx = np.unique(uniq.ravel(), return_inverse=True)
+    idx = flat_idx.reshape(n_pairs, 2)
+    return SufficientStats(
+        z1=float(np.sum(u_all**2 / dt_all)),
+        z2=float(sum(t[-1] - t[0] for t in data.times)),
+        z3=float(sum(math.log(v[-1] / v[0]) for v in data.values)),
+        n_obs=data.n_obs,
+        d=data.d,
+        u_times=u_times,
+        pair_lo=idx[:, 0],
+        pair_hi=idx[:, 1],
+        pair_inv_dt=1.0 / (uniq[:, 1] - uniq[:, 0]),
+        pair_count=np.bincount(inverse, minlength=n_pairs).astype(float),
+        pair_usum=np.bincount(inverse, weights=u_all, minlength=n_pairs),
+        log_x_first=np.log(data.initial_values()),
+        log_lik_offset=(
+            0.5 * s_all.size * math.log(2.0 * math.pi)
+            + float(sum(np.sum(np.log(v[1:])) for v in data.values))
+            + 0.5 * float(np.sum(np.log(dt_all)))
+        ),
+    )
+
+
+def irregular_panel(seed):
+    """d = 1..7 paths from a negative or fractional first time; seeds 0 mod 3
+    step on a 0.5 grid, so transition pairs repeat within and across paths."""
+    rng = np.random.default_rng(seed)
+    d = 1 if seed % 4 == 0 else int(rng.integers(2, 8))
+    t0 = float(rng.uniform(-5.0, 5.0))
+    times, values = [], []
+    for _ in range(d):
+        n = int(rng.integers(2, 300 if seed % 5 == 0 else 15))
+        if seed % 3 == 0:
+            steps = rng.choice([0.5, 1.0, 1.5], size=n - 1)
+        else:
+            steps = rng.uniform(0.01, 2.0, size=n - 1)
+        times.append(t0 + np.concatenate([[0.0], np.cumsum(steps)]))
+        values.append(np.exp(rng.normal(3.0, 1.0, size=n)))
+    return hf.PanelData(times=times, values=values)
+
+
+def assert_same_bytes(got, want):
+    for f in fields(SufficientStats):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert (type(a), repr(a)) == (type(b), repr(b)), f.name
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_from_panel_equals_per_transition_construction(seed):
+    panel = irregular_panel(seed)
+    assert_same_bytes(SufficientStats.from_panel(panel), per_transition_stats(panel))
+    shifted = panel.shifted(panel.t_first)
+    assert_same_bytes(SufficientStats.from_panel(shifted), per_transition_stats(shifted))
+
+
+def test_from_panel_merges_repeated_pairs():
+    panel = hf.PanelData(
+        times=[np.array([-1.5, -0.5, 0.5, 1.0]), np.array([-1.5, -0.5, 1.0]), np.array([-1.5, -0.5])],
+        values=[np.array([1.0, 2.0, 3.0, 4.0]), np.array([2.0, 1.0, 3.0]), np.array([5.0, 6.0])],
+    )
+    stats = SufficientStats.from_panel(panel)
+    np.testing.assert_array_equal(stats.u_times, [-1.5, -0.5, 0.5, 1.0])
+    np.testing.assert_array_equal(stats.pair_lo, [0, 1, 1, 2])
+    np.testing.assert_array_equal(stats.pair_hi, [1, 2, 3, 3])
+    np.testing.assert_array_equal(stats.pair_count, [3.0, 1.0, 1.0, 1.0])
+    assert_same_bytes(stats, per_transition_stats(panel))
+
+
+def test_pair_sums_memo_never_returns_stale_sums():
+    # two panels, one (eta, alpha): every call, in any interleaving, must
+    # equal the same call on freshly built stats, which have no memo
+    panels = [simulated_panel(21), simulated_panel(22)]
+    stats = [SufficientStats.from_panel(p) for p in panels]
+    sigma_range = (1e-3, 0.5)
+    calls = [
+        lambda s, eta, alpha: hf.objective(s, eta, alpha, 0.0025),
+        lambda s, eta, alpha: hf.objective(s, eta, alpha, 0.004),
+        lambda s, eta, alpha: profile_objective(s, eta, alpha, sigma_range),
+        lambda s, eta, alpha: hf.eta_alpha_sums(s, eta, alpha),
+        lambda s, eta, alpha: hf.log_likelihood(s, 4.6, 0.0, eta, alpha, 0.0025),
+    ]
+    points = [(0.1, 0.45), (0.1, 0.45), (0.2, 0.45), (0.1, 0.5), (0.1, 0.45)]
+    assert hf.eta_alpha_sums(stats[0], 0.1, 0.45) != hf.eta_alpha_sums(stats[1], 0.1, 0.45)
+    for step in range(60):
+        i = step % 2 if step < 30 else (step // 3) % 2
+        call = calls[step % len(calls)]
+        eta, alpha = points[(step // 2) % len(points)]
+        fresh = SufficientStats.from_panel(panels[i])
+        assert call(stats[i], eta, alpha) == call(fresh, eta, alpha)
+
+
+def test_profile_objective_runs_the_kernel_once(monkeypatch):
+    stats = SufficientStats.from_panel(simulated_panel(23))
+    reductions = []
+
+    def counted(a, *args, **kwargs):
+        reductions.append(a.size)
+        return np.add.reduce(a, *args, **kwargs)
+
+    monkeypatch.setattr(likelihood, "_sum", counted)
+    value, sigma = profile_objective(stats, 0.11, 0.46, (1e-3, 0.5))
+    assert len(reductions) == 3  # Y1, Y2 and R of one pass
+    assert value == hf.objective(SufficientStats.from_panel(simulated_panel(23)), 0.11, 0.46, sigma * sigma)
+
+
 def test_initial_mle_single_path():
     panel = simulated_panel(11, n_paths=1, sigma0_sq=0.0)
     mu1, s1 = hf.initial_mle(panel)
@@ -210,6 +330,66 @@ def test_panel_validation():
         )
     with pytest.raises(ParameterDomainError):
         hf.PanelData(times=[], values=[])
+
+
+@pytest.mark.parametrize(
+    "times, values",
+    [
+        ([0.0, 1.0, math.inf], [1.0, 2.0, 3.0]),
+        ([-math.inf, 1.0, 2.0], [1.0, 2.0, 3.0]),
+        ([0.0, 1.0, 2.0], [1.0, math.inf, 3.0]),
+        ([0.0, 1.0, 2.0], [1.0, 2.0, math.nan]),
+    ],
+)
+def test_panel_rejects_non_finite_data(times, values):
+    with pytest.raises(ParameterDomainError, match="path 1"):
+        hf.PanelData(
+            times=[np.array([0.0, 1.0]), np.array(times)],
+            values=[np.array([1.0, 1.0]), np.array(values)],
+        )
+
+
+def path_by_path_check(times, values):
+    """The error a scan of the paths in order raises first, or None."""
+    for i, (t, v) in enumerate(zip(times, values)):
+        t, v = np.asarray(t, dtype=float), np.asarray(v, dtype=float)
+        if t.shape != v.shape or t.ndim != 1 or t.size < 2:
+            return ParameterDomainError, f"path {i}: times and values must be 1-d, equal length >= 2"
+        if not np.all(np.diff(t) > 0.0):
+            return OrderingError, f"path {i}: times must be strictly increasing"
+        if not np.all(v > 0.0):
+            return ParameterDomainError, f"path {i}: values must be positive"
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            return ParameterDomainError, f"path {i}: times and values must be finite"
+    if any(t[0] != times[0][0] for t in times):
+        return OrderingError, "all paths must share the same first time"
+    return None
+
+
+GOOD = ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+BAD_PATHS = [
+    ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0]),  # not increasing
+    ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0]),  # repeated time
+    ([0.0, 1.0, 2.0], [1.0, 0.0, 3.0]),  # zero value
+    ([0.0, 2.0, 1.0], [1.0, -2.0, 3.0]),  # both: the order is reported
+    ([0.0, 1.0, math.inf], [1.0, -2.0, 3.0]),  # both: the value is reported
+    ([0.0, 1.0, math.nan], [1.0, 2.0, 3.0]),
+    ([0.0, 1.0, 2.0], [1.0, 2.0, math.inf]),
+    ([0.0], [1.0]),  # too short
+    ([0.0, 1.0], [1.0, 2.0, 3.0]),  # lengths differ
+    ([[0.0, 1.0]], [[1.0, 2.0]]),  # 2-d
+    ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),  # another first time
+]
+
+
+@pytest.mark.parametrize("first", BAD_PATHS)
+def test_panel_validation_reports_the_first_bad_path(first):
+    for second in BAD_PATHS:
+        times, values = (list(x) for x in zip(GOOD, GOOD, first, GOOD, second))
+        kind, message = path_by_path_check(times, values)
+        with pytest.raises(kind) as info:
+            hf.PanelData(times=times, values=values)
+        assert (type(info.value), str(info.value)) == (kind, message)
 
 
 def test_likelihood_validation():

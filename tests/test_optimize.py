@@ -180,7 +180,7 @@ def test_sa_start_override():
 def test_vns_neighborhoods_nested_and_centered():
     theta0 = np.array([0.1, 0.45, 0.05])
     config = hf.VNSConfig(k_max=5)
-    boxes = [hf.vns_neighborhood(theta0, k, config, BOX) for k in range(1, 6)]
+    boxes = [optimize.vns_neighborhood(theta0, k, config, BOX) for k in range(1, 6)]
     for small, big in zip(boxes, boxes[1:]):
         assert np.all(small.lower >= big.lower) and np.all(small.upper <= big.upper)
     for box in boxes:
@@ -192,9 +192,9 @@ def test_vns_neighborhoods_nested_and_centered():
 def test_vns_neighborhood_validation():
     config = hf.VNSConfig(k_max=5)
     with pytest.raises(ParameterDomainError):
-        hf.vns_neighborhood(np.array([0.1, 0.45, 0.05]), 6, config, BOX)
+        optimize.vns_neighborhood(np.array([0.1, 0.45, 0.05]), 6, config, BOX)
     with pytest.raises(ParameterDomainError):
-        hf.vns_neighborhood(np.array([0.1, 1.45, 0.05]), 1, config, BOX)
+        optimize.vns_neighborhood(np.array([0.1, 1.45, 0.05]), 1, config, BOX)
 
 
 def test_vns_never_worse_than_phase1():
