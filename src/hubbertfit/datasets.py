@@ -1,8 +1,9 @@
 """Bundled crude-oil production snapshots and the panel CSV format.
 
 The CSV layout is `path_id,time,value` with one row per observation.
-Rows for a path must appear with strictly increasing times, values must
-be positive, and all paths must share the same first time.
+Rows for a path must appear with strictly increasing times, times and
+values must be finite, values positive, and all paths must share the
+same first time.
 
 The two bundled series are fixed snapshots of annual crude oil
 production (including lease condensate, thousand barrels per day) kept
