@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import fields
 
@@ -270,11 +271,10 @@ def test_pair_sums_memo_never_returns_stale_sums():
         lambda s, eta, alpha: hf.log_likelihood(s, 4.6, 0.0, eta, alpha, 0.0025),
     ]
     points = [(0.1, 0.45), (0.1, 0.45), (0.2, 0.45), (0.1, 0.5), (0.1, 0.45)]
+    order = [0, 1, 0, 0, 1, 1, 1]  # alternating and repeated panels
     assert hf.eta_alpha_sums(stats[0], 0.1, 0.45) != hf.eta_alpha_sums(stats[1], 0.1, 0.45)
-    for step in range(60):
-        i = step % 2 if step < 30 else (step // 3) % 2
-        call = calls[step % len(calls)]
-        eta, alpha = points[(step // 2) % len(points)]
+    for step, ((eta, alpha), call) in enumerate(list(itertools.product(points, calls)) * 2):
+        i = order[step % len(order)]
         fresh = SufficientStats.from_panel(panels[i])
         assert call(stats[i], eta, alpha) == call(fresh, eta, alpha)
 
