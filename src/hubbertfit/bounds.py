@@ -26,7 +26,13 @@ SIGMA_UPPER_DEFAULT = 0.1
 
 @dataclass(frozen=True)
 class SolutionBox:
-    """Open box of admissible (eta, alpha, sigma) triples."""
+    """Open box of admissible (eta, alpha, sigma) triples; the ranges must be finite.
+
+    The bound arrays, in (eta, alpha, sigma) order, are set once and cannot
+    be assigned: lower and upper (the range ends), widths (upper - lower)
+    and interior, the (lower, upper) pulled inward by a tiny margin that
+    clip_interior projects onto.
+    """
 
     eta_range: tuple = (0.0, ETA_UPPER)
     alpha_range: tuple = (0.0, 1.0)
@@ -39,42 +45,27 @@ class SolutionBox:
         ):
             if not lo < hi:
                 raise ParameterDomainError(f"empty {name} range ({lo}, {hi})")
+            # lo < hi, so the width is finite only when both ends are
+            if not math.isfinite(hi - lo):
+                raise ParameterDomainError(f"{name} range ({lo}, {hi}) must be finite")
         if self.alpha_range[1] > 1.0:
             raise ParameterDomainError("alpha upper bound cannot exceed 1")
-        # Cached bound arrays; proposals query these on every annealing step.
         lower = np.array([self.eta_range[0], self.alpha_range[0], self.sigma_range[0]])
         upper = np.array([self.eta_range[1], self.alpha_range[1], self.sigma_range[1]])
-        eps = 1e-12 * (upper - lower)
-        object.__setattr__(self, "_lower", lower)
-        object.__setattr__(self, "_upper", upper)
-        object.__setattr__(self, "_widths", upper - lower)
-        object.__setattr__(self, "_interior_lo", lower + eps)
-        object.__setattr__(self, "_interior_hi", upper - eps)
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self._lower
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self._upper
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self._widths
-
-    @property
-    def interior(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) that clip_interior projects onto."""
-        return self._interior_lo, self._interior_hi
+        widths = upper - lower
+        eps = 1e-12 * widths
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "interior", (lower + eps, upper - eps))
 
     def contains(self, theta) -> bool:
         theta = np.asarray(theta, dtype=float)
-        return bool(np.all(theta > self._lower) and np.all(theta < self._upper))
+        return bool(np.all(theta > self.lower) and np.all(theta < self.upper))
 
     def clip_interior(self, theta) -> np.ndarray:
         """Project onto the box, nudged strictly inside by a tiny margin."""
-        return np.clip(np.asarray(theta, dtype=float), self._interior_lo, self._interior_hi)
+        return np.clip(np.asarray(theta, dtype=float), *self.interior)
 
 
 def alpha1(x0: float, urr: float) -> float:
@@ -139,8 +130,8 @@ def build_box(
     Without a URR the alpha interval falls back to (0, 1); with one it is
     (0, alpha*), alpha* = min(alpha_caps(data, urr)).
     """
-    if not sigma_cap > 0.0:
-        raise ParameterDomainError(f"sigma_cap must be positive, got {sigma_cap}")
+    if not 0.0 < sigma_cap < math.inf:
+        raise ParameterDomainError(f"sigma_cap must be positive and finite, got {sigma_cap}")
     alpha_star = 1.0 if urr is None else min(alpha_caps(data, urr))
     return SolutionBox(
         eta_range=(0.0, ETA_UPPER),

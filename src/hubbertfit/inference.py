@@ -115,15 +115,15 @@ def asymptotic_cov(info: np.ndarray, sigma: float) -> np.ndarray:
     return jac @ np.linalg.inv(info) @ jac
 
 
-def delta_error(grad, cov: np.ndarray) -> float:
-    """Asymptotic standard error sqrt(grad^T cov grad) of a scalar function."""
+def delta_error(grad, cov: np.ndarray):
+    """Standard error sqrt(grad^T cov grad) of a scalar function, per row of an (n, 3) grad."""
     grad = np.asarray(grad, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    q = float(grad @ cov @ grad)
-    scale = max(1.0, float(np.trace(cov)) * float(grad @ grad))
-    if q < -1e-12 * scale:
-        raise ConditioningError(f"negative delta-method quadratic form {q}")
-    return math.sqrt(max(q, 0.0))
+    q = (grad[..., None, :] @ cov @ grad[..., :, None])[..., 0, 0]
+    negative = q < -1e-12 * np.maximum(1.0, np.trace(cov) * np.sum(grad * grad, axis=-1))
+    if np.any(negative):
+        raise ConditioningError(f"negative delta-method quadratic form {q[negative].min()}")
+    return np.sqrt(np.maximum(q, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +151,17 @@ def peak_gradient(eta: float, alpha: float, y: float, s: float) -> np.ndarray:
     return np.array([d_eta, d_a * s * a / alpha, 0.0])
 
 
-def conditional_mean_gradient(
-    eta: float, alpha: float, y: float, s: float, t: float
-) -> np.ndarray:
-    """Gradient of m(t | y, s) = y*((eta+alpha^s)/(eta+alpha^t))^2*alpha^(t-s)."""
+def conditional_mean_gradient(eta: float, alpha: float, y: float, s: float, t) -> np.ndarray:
+    """Gradient of m(t | y, s) = y*((eta+alpha^s)/(eta+alpha^t))^2*alpha^(t-s).
+
+    An array of n times t gives an (n, 3) stack, one gradient per time.
+    """
     de_s, da_s = _dlog_w(eta, alpha, s)
     de_t, da_t = _dlog_w(eta, alpha, t)
     m = conditional_mean(t, y, s, eta, alpha)
     dlog_eta = 2.0 * (de_s - de_t)
     dlog_alpha = 2.0 * (da_s - da_t) + (t - s) / alpha
-    return np.array([m * dlog_eta, m * dlog_alpha, 0.0])
+    return np.stack([m * dlog_eta, m * dlog_alpha, np.zeros_like(m)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +245,26 @@ def estimate_peak(fit: FitResult, y: float | None = None, s: float | None = None
     Without (y, s) the unconditional version is used: the peak of the
     mean function through the estimated initial mean.  With a
     conditioning point (y, s) on the original clock, the conditional
-    version y*(eta+alpha^s')^2/(4*eta*alpha^s') applies, s' = s - k.
-    Times are reported on the original clock.  Raises ConditioningError
-    when the fit has no finite covariance.
+    version y*(eta+alpha^s')^2/(4*eta*alpha^s') applies, s' = s - k; y and
+    s must be finite.  Times are reported on the original clock.  Raises
+    ConditioningError when the fit has no finite covariance.
     """
     _require_cov(fit, "peak standard errors")
     eta, alpha, _ = fit.theta_hat
     k = fit.time_shift_k
-    t_se = delta_error(peak_time_gradient(eta, alpha), fit.cov)
-
     if (y is None) != (s is None):
         raise ParameterDomainError("provide both y and s, or neither")
     if y is None:
         y_eff, s_shifted = fit.initial_mean, 0.0
     else:
-        if y <= 0.0:
-            raise ParameterDomainError("conditioning value y must be positive")
+        if not 0.0 < y < math.inf:
+            raise ParameterDomainError(f"conditioning value y must be positive and finite, got {y}")
+        if not math.isfinite(s):
+            raise ParameterDomainError(f"conditioning time s must be finite, got {s}")
         y_eff, s_shifted = y, s - k
 
-    p_se = delta_error(peak_gradient(eta, alpha, y_eff, s_shifted), fit.cov)
+    grads = np.stack([peak_time_gradient(eta, alpha), peak_gradient(eta, alpha, y_eff, s_shifted)])
+    t_se, p_se = delta_error(grads, fit.cov).tolist()
     return PeakEstimate(
         peak_time=peak_time(eta, alpha) + k,
         peak_time_se=t_se,
@@ -282,29 +284,28 @@ def forecast(
 
     Band width comes from the delta-method error of the conditional mean
     as a function of (eta, alpha); the confidence level defaults to 95%
-    and is a free choice, not something the model pins down.  Raises
-    ConditioningError when the fit has no finite covariance.
+    and is a free choice, not something the model pins down.  s, x_s and
+    the horizon times must be finite.  Raises ConditioningError when the
+    fit has no finite covariance.
     """
     if not 0.0 < level < 1.0:
         raise ParameterDomainError(f"level must lie in (0, 1), got {level}")
+    if not math.isfinite(s):
+        raise ParameterDomainError(f"s must be finite, got {s}")
     times = np.atleast_1d(np.asarray(horizon_times, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ParameterDomainError("horizon times must be finite")
     if np.any(times <= s):
         raise OrderingError("all horizon times must lie strictly after s")
-    if x_s <= 0.0:
-        raise ParameterDomainError("x_s must be positive")
+    if not 0.0 < x_s < math.inf:
+        raise ParameterDomainError(f"x_s must be positive and finite, got {x_s}")
     _require_cov(fit, "forecast bands")
     eta, alpha, _ = fit.theta_hat
     k = fit.time_shift_k
     s_shift = s - k
     point = conditional_mean(times - k, x_s, s_shift, eta, alpha)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = np.array(
-        [
-            z * delta_error(conditional_mean_gradient(eta, alpha, x_s, s_shift, t), fit.cov)
-            for t in times - k
-        ]
-    )
-    point = np.atleast_1d(point)
+    half = z * delta_error(conditional_mean_gradient(eta, alpha, x_s, s_shift, times - k), fit.cov)
     return Forecast(
         times=times,
         point=point,
@@ -326,7 +327,7 @@ def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
     value, the objective calls made and the stop reason.
     """
     (lo_eta, lo_alpha), (w_eta, w_alpha) = box.lower[:2].tolist(), box.widths[:2].tolist()
-    (in_lo_eta, in_lo_alpha), (in_hi_eta, in_hi_alpha) = (b[:2].tolist() for b in box.interior)
+    (in_lo_eta, in_hi_eta), (in_lo_alpha, in_hi_alpha), sigma_interior = np.transpose(box.interior).tolist()
 
     def point(u):
         # np.tanh, not math.tanh: the two differ in the last bit
@@ -336,11 +337,11 @@ def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
         return eta, alpha
 
     def profile(u):
-        return lik.profile_objective(stats, *point(u), box.sigma_range)[0]
+        return lik.profile_objective(stats, *point(u), sigma_interior)[0]
 
     result = opt.nelder_mead(profile, np.zeros(2))
     eta, alpha = point(result.best.theta)
-    value, sigma = lik.profile_objective(stats, eta, alpha, box.sigma_range)
+    value, sigma = lik.profile_objective(stats, eta, alpha, sigma_interior)
     return (eta, alpha, sigma), value, result.n_evals + 1, result.stop_reason
 
 

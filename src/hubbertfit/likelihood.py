@@ -5,7 +5,7 @@ t_ij with a common first time.  The likelihood depends on the data only
 through a handful of sums (Z1, Z2, Z3 and the parameter-dependent Y1, Y2,
 R built from T_ij = ln((eta+alpha^t_{i,j-1})/(eta+alpha^t_ij))), so the
 per-transition quantities are cached once and reused across the many
-objective evaluations an annealing run performs.
+objective evaluations a fit performs.
 
 Transitions with identical (t_{j-1}, t_j) pairs, which dominate when all
 paths share one grid, are aggregated: each unique pair stores its count
@@ -278,22 +278,22 @@ def eta_alpha_sums(data, eta: float, alpha: float) -> tuple[float, float, float]
     return _pair_sums(_as_stats(data), eta, math.log(alpha))
 
 
+def _bracket(stats: SufficientStats, eta: float, log_alpha: float, drift: float) -> float:
+    """The objective's quadratic data term in (Y1, Y2, R) at a validated (eta, ln(alpha))."""
+    y1, y2, r = _pair_sums(stats, eta, log_alpha)
+    return stats.z1 + 4.0 * (y1 - y2) + drift * (drift * stats.z2 - 2.0 * (stats.z3 - 2.0 * r))
+
+
 def _objective(
     stats: SufficientStats, eta: float, alpha: float, sigma_sq: float
 ) -> float:
     """The objective for validated parameters, or INFEASIBLE.
 
-    g = (N-d)/2 * ln(sigma^2) + bracket / (2*sigma^2), where the bracket
-    is the quadratic data term in Y1, Y2, R and the drift ln(alpha) - sigma^2/2.
+    g = (N-d)/2 * ln(sigma^2) + bracket / (2*sigma^2), with the bracket
+    at the drift ln(alpha) - sigma^2/2.
     """
     log_alpha = math.log(alpha)
-    y1, y2, r = _pair_sums(stats, eta, log_alpha)
-    drift = log_alpha - 0.5 * sigma_sq
-    bracket = (
-        stats.z1
-        + 4.0 * (y1 - y2)
-        + drift * (drift * stats.z2 - 2.0 * (stats.z3 - 2.0 * r))
-    )
+    bracket = _bracket(stats, eta, log_alpha, log_alpha - 0.5 * sigma_sq)
     if not math.isfinite(bracket):
         return INFEASIBLE
     return 0.5 * stats.n_transitions * math.log(sigma_sq) + bracket / (2.0 * sigma_sq)
@@ -342,31 +342,27 @@ def objective(data, eta: float, alpha: float, sigma_sq: float) -> float:
 
 
 def profile_objective(
-    stats: SufficientStats, eta: float, alpha: float, sigma_range: tuple
+    stats: SufficientStats, eta: float, alpha: float, sigma_interior: tuple
 ) -> tuple[float, float]:
     """(min over sigma of the objective at (eta, alpha), that sigma).
 
-    With v = sigma^2 the objective is (n/2) ln v + C0/(2v) + C1/2 + z2 v/8,
-    n = N - d and C0 the bracket at drift ln(alpha).  Its derivative in v
-    has the single root v* = 2(sqrt(n^2 + z2 C0) - n)/z2, written below
-    without the cancellation; the objective falls before v* and rises
-    after, so v* clipped to the interior of sigma_range (the margin of
-    SolutionBox.clip_interior) is the minimizer over the box.  The value
+    sigma_interior is the closed (lower, upper) interval the minimizer is
+    clipped to: the sigma entries of SolutionBox.interior, not the box's
+    open sigma_range.  With v = sigma^2 the objective is
+    (n/2) ln v + C0/(2v) + C1/2 + z2 v/8, n = N - d and C0 the bracket at
+    drift ln(alpha).  Its derivative in v has the single root
+    v* = 2(sqrt(n^2 + z2 C0) - n)/z2, written below without the
+    cancellation; the objective falls before v* and rises after, so
+    sqrt(v*) clipped to sigma_interior is the minimizer there.  The value
     is objective() at that sigma, so it is exactly the 3-d objective at
     the returned point; that call reuses the sums computed here.
     """
     _check_theta(eta, alpha)
     log_alpha = math.log(alpha)
-    y1, y2, r = _pair_sums(stats, eta, log_alpha)
-    c0 = (
-        stats.z1
-        + 4.0 * (y1 - y2)
-        + log_alpha * (log_alpha * stats.z2 - 2.0 * (stats.z3 - 2.0 * r))
-    )
+    c0 = _bracket(stats, eta, log_alpha, log_alpha)
     n = stats.n_transitions
     v = 2.0 * c0 / (math.sqrt(n * n + stats.z2 * c0) + n)
-    lo, hi = sigma_range
-    eps = 1e-12 * (hi - lo)
+    lo, hi = sigma_interior
     # not v > 0 also holds for a NaN v, where objective() is INFEASIBLE at any sigma
-    sigma = min(max(math.sqrt(v) if v > 0.0 else 0.0, lo + eps), hi - eps)
+    sigma = min(max(math.sqrt(v) if v > 0.0 else 0.0, lo), hi)
     return objective(stats, eta, alpha, sigma * sigma), sigma

@@ -82,8 +82,8 @@ class ProcessParams:
 
     def __post_init__(self) -> None:
         _check_eta_alpha(self.eta, self.alpha)
-        if self.sigma < 0.0:
-            raise ParameterDomainError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ParameterDomainError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
     def require_diffusive(self) -> None:
         if not self.sigma > 0.0:

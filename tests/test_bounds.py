@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -151,3 +152,29 @@ def test_box_validation():
             hf.PanelData(times=[np.array([0.0, 1.0])], values=[np.array([1.0, 1.0])]),
             sigma_cap=0.0,
         )
+    for ranges in (
+        {"eta_range": (0.0, math.inf)},
+        {"alpha_range": (-math.inf, 0.5)},
+        {"sigma_range": (0.0, 1e309)},
+        {"eta_range": (-1e308, 1e308)},  # finite ends, infinite width
+    ):
+        with pytest.raises(ParameterDomainError, match="must be finite"):
+            hf.SolutionBox(**ranges)
+    panel = hf.PanelData(times=[np.array([0.0, 1.0])], values=[np.array([1.0, 2.0])])
+    for cap in (math.inf, math.nan):
+        with pytest.raises(ParameterDomainError, match="sigma_cap"):
+            hf.build_box(panel, sigma_cap=cap)
+
+
+def test_box_bounds_are_set_once():
+    box = hf.SolutionBox(eta_range=(0.01, 0.2), alpha_range=(0.3, 0.9), sigma_range=(1e-3, 0.1))
+    np.testing.assert_array_equal(box.lower, [0.01, 0.3, 1e-3])
+    np.testing.assert_array_equal(box.upper, [0.2, 0.9, 0.1])
+    np.testing.assert_array_equal(box.widths, box.upper - box.lower)
+    inner_lo, inner_hi = box.interior
+    np.testing.assert_array_equal(inner_lo, box.lower + 1e-12 * box.widths)
+    np.testing.assert_array_equal(inner_hi, box.upper - 1e-12 * box.widths)
+    np.testing.assert_array_equal(box.clip_interior([-1.0, 2.0, 0.05]), [inner_lo[0], inner_hi[1], 0.05])
+    for name in ("lower", "upper", "widths", "interior"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(box, name, getattr(box, name))

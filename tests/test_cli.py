@@ -478,6 +478,42 @@ def test_invalid_domain_exit_code(tmp_path, capsys):
          "--out", str(out)]
     )
     assert code == 1
+    for sigma in ("nan", "inf"):
+        code = main(["simulate", "--eta", "0.1", "--alpha", "0.45", "--sigma", sigma, "--out", str(out)])
+        assert code == 1
+        assert "sigma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("s, x_s, message", [
+    ("nan", "100", "error: s must be finite"),
+    ("20", "inf", "error: x_s must be positive and finite"),
+    ("20", "nan", "error: x_s must be positive and finite"),
+])
+def test_forecast_non_finite_point_exits_1(fit_file, capsys, s, x_s, message):
+    capsys.readouterr()
+    assert main(["forecast", "--fit", str(fit_file), "--s", s, "--x-s", x_s, "--from", "21", "--to", "25"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("peak", [("--peak-x", "1568", "--peak-s", "nan"), ("--peak-x", "nan", "--peak-s", "2014")])
+def test_fit_non_finite_peak_point_exits_1(capsys, peak):
+    assert main(["fit", "--data", "norway", *peak]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err and "finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["fit", "bounds"])
+def test_config_infinite_sigma_cap_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "cap.json"
+    path.write_text('{"sigma_cap": 1e309}')  # parses to inf
+    assert main([command, "--data", "norway", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sigma_cap must be positive and finite" in captured.err
 
 
 def test_digits_rounding(capsys):

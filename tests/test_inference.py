@@ -192,6 +192,18 @@ def test_delta_error_quadratic_form():
         hf.delta_error([1.0, 0.0, 0.0], -np.eye(3))
 
 
+def test_delta_error_on_a_stack_equals_the_rows():
+    rng = np.random.default_rng(8)
+    root = rng.normal(size=(3, 3))
+    cov = root @ root.T * 1e-4
+    grads = rng.normal(size=(40, 3)) * np.array([1e4, 1e3, 1.0])
+    stacked = hf.delta_error(grads, cov)
+    assert stacked.shape == (40,)
+    assert stacked.tobytes() == np.array([hf.delta_error(g, cov) for g in grads]).tobytes()
+    with pytest.raises(ConditioningError):
+        hf.delta_error(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]), np.diag([-1.0, 1.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # Analytic gradients
 # ---------------------------------------------------------------------------
@@ -236,6 +248,15 @@ def test_conditional_mean_gradient_matches_fd():
     grad = inference.conditional_mean_gradient(eta, alpha, y, s, t)
     np.testing.assert_allclose(grad[:2], finite_diff(m, [eta, alpha]), rtol=1e-6)
     assert grad[2] == 0.0
+
+
+def test_conditional_mean_gradient_on_an_array_equals_the_points():
+    eta, alpha, y, s = 0.0563, 0.9173, 1632.0, 22.0
+    times = s + np.arange(0.5, 90.0, 0.5)
+    stacked = inference.conditional_mean_gradient(eta, alpha, y, s, times)
+    assert stacked.shape == (times.size, 3)
+    per_point = np.array([inference.conditional_mean_gradient(eta, alpha, y, s, t) for t in times])
+    assert stacked.tobytes() == per_point.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +304,9 @@ def test_peak_argument_validation():
         hf.estimate_peak(fit, y=3.0)
     with pytest.raises(ParameterDomainError):
         hf.estimate_peak(fit, y=-3.0, s=1.0)
+    for y, s, name in ((math.nan, 1.0, "y"), (math.inf, 1.0, "y"), (3.0, math.nan, "s"), (3.0, -math.inf, "s")):
+        with pytest.raises(ParameterDomainError, match=rf"\b{name} must"):
+            hf.estimate_peak(fit, y=y, s=s)
 
 
 def test_forecast_matches_published_decline_table():
@@ -321,6 +345,16 @@ def test_forecast_validation():
         hf.forecast(fit, 10.0, -5.0, [11.0])
     with pytest.raises(ParameterDomainError):
         hf.forecast(fit, 10.0, 5.0, [11.0], level=1.0)
+    for s, x_s, horizon, name in (
+        (math.nan, 5.0, [11.0], "s"),
+        (-math.inf, 5.0, [11.0], "s"),
+        (10.0, math.nan, [11.0], "x_s"),
+        (10.0, math.inf, [11.0], "x_s"),
+        (10.0, 5.0, [11.0, math.nan], "horizon times"),
+        (10.0, 5.0, [11.0, math.inf], "horizon times"),
+    ):
+        with pytest.raises(ParameterDomainError, match=rf"^{name} must"):
+            hf.forecast(fit, s, x_s, horizon)
 
 
 def test_forecast_rejects_fit_without_covariance():

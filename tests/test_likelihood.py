@@ -160,10 +160,10 @@ def test_profile_objective_is_the_minimum_over_sigma(eta, alpha, sigma_range, cl
     from scipy.optimize import minimize_scalar
 
     stats = SufficientStats.from_panel(simulated_panel(10))
-    value, sigma = profile_objective(stats, eta, alpha, sigma_range)
-    assert value == hf.objective(stats, eta, alpha, sigma * sigma)
     lo, hi = sigma_range
     eps = 1e-12 * (hi - lo)  # the margin of SolutionBox.clip_interior
+    value, sigma = profile_objective(stats, eta, alpha, (lo + eps, hi - eps))
+    assert value == hf.objective(stats, eta, alpha, sigma * sigma)
     assert lo + eps <= sigma <= hi - eps
     if clipped is not None:
         assert sigma == (hi - eps if clipped == "upper" else lo + eps)

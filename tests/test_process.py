@@ -174,6 +174,9 @@ def test_grid_validation():
 def test_param_validation():
     with pytest.raises(ParameterDomainError):
         hf.ProcessParams(eta=0.1, alpha=0.45, sigma=-0.1, init=PP.init)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ParameterDomainError, match="sigma must be finite"):
+            hf.ProcessParams(eta=0.1, alpha=0.45, sigma=sigma, init=PP.init)
     with pytest.raises(ParameterDomainError):
         hf.InitialDistribution(mu0=0.0, sigma0_sq=-1.0)
     with pytest.raises(ParameterDomainError):
