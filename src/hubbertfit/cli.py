@@ -262,6 +262,11 @@ def _read_fit(doc, path: str) -> inference.FitResult:
 def cmd_fit(args) -> int:
     if (args.peak_x is None) != (args.peak_s is None):
         raise DataFormatError("--peak-x and --peak-s must be given together")
+    # estimate_peak would refuse these too, but only after the whole fit
+    if args.peak_x is not None and not 0.0 < args.peak_x < math.inf:
+        raise errors.ParameterDomainError(f"--peak-x must be positive and finite, got {args.peak_x}")
+    if args.peak_s is not None and not math.isfinite(args.peak_s):
+        raise errors.ParameterDomainError(f"--peak-s must be finite, got {args.peak_s}")
     cfg = _load_config(args.config)
     urr = args.urr if args.urr is not None else cfg.get("urr")
     seed = args.seed if args.seed is not None else cfg.get("seed")

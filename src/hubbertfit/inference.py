@@ -331,7 +331,9 @@ def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
 
     def point(u):
         # np.tanh, not math.tanh: the two differ in the last bit
-        g_eta, g_alpha = (0.5 * (1.0 + np.tanh(0.5 * u))).tolist()
+        u_eta, u_alpha = u
+        g_eta = 0.5 * (1.0 + float(np.tanh(0.5 * u_eta)))
+        g_alpha = 0.5 * (1.0 + float(np.tanh(0.5 * u_alpha)))
         eta = min(max(lo_eta + w_eta * g_eta, in_lo_eta), in_hi_eta)
         alpha = min(max(lo_alpha + w_alpha * g_alpha, in_lo_alpha), in_hi_alpha)
         return eta, alpha
@@ -339,7 +341,7 @@ def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
     def profile(u):
         return lik.profile_objective(stats, *point(u), sigma_interior)[0]
 
-    result = opt.nelder_mead(profile, np.zeros(2))
+    result = opt.nelder_mead(profile, (0.0, 0.0))
     eta, alpha = point(result.best.theta)
     value, sigma = lik.profile_objective(stats, eta, alpha, sigma_interior)
     return (eta, alpha, sigma), value, result.n_evals + 1, result.stop_reason

@@ -142,6 +142,11 @@ class SufficientStats:
     indexing into it, so eta + alpha^t is evaluated once per unique time.
     log_lik_offset is the data-only constant c with transition
     log-likelihood = -c - objective.
+
+    pair_weights, derived once from the pair arrays and read-only like
+    the fields, is the (3, P) stack [pair_count * pair_inv_dt;
+    pair_usum * pair_inv_dt; pair_count] of the per-pair factors of Y1
+    (times T^2), Y2 and R (times T).
     """
 
     z1: float
@@ -160,6 +165,17 @@ class SufficientStats:
 
     # (eta, log_alpha, sums) of the last _pair_sums call on this object
     _pair_memo = (None, None, None)
+
+    def __post_init__(self) -> None:
+        # A plain attribute, not a field: field-wise comparisons of two
+        # stats see only the data summaries.
+        object.__setattr__(
+            self,
+            "pair_weights",
+            np.stack(
+                [self.pair_count * self.pair_inv_dt, self.pair_usum * self.pair_inv_dt, self.pair_count]
+            ),
+        )
 
     @classmethod
     def from_panel(cls, data: PanelData) -> "SufficientStats":
@@ -247,9 +263,14 @@ def _pair_sums(
     """(Y1, Y2, R) for a validated eta > 0 and log_alpha = ln(alpha).
 
     The one likelihood kernel: ln(eta + alpha^t) is evaluated once per
-    unique time and T_ij once per unique transition pair.  It runs on
-    every objective evaluation, except that a repeat of the last call on
-    the same stats at equal (eta, log_alpha) returns the stored sums, so
+    unique time and T_ij once per unique transition pair; the three sums
+    are one row-wise reduction of stats.pair_weights times (T^2, T, T).
+    The reduction is numpy's pairwise sum, not a BLAS dot product, whose
+    accumulation order depends on the CPU kernel chosen at run time; the
+    seeded annealing path compares objective values exactly, so its
+    output would then depend on the machine.  It runs on every objective
+    evaluation, except that a repeat of the last call on the same stats
+    at equal (eta, log_alpha) returns the stored sums, so
     profile_objective's call to objective at the point it just summed
     costs no second pass.
     """
@@ -258,12 +279,9 @@ def _pair_sums(
         return sums
     lw = np.log(eta + np.exp(stats.u_times * log_alpha))
     t_pair = lw.take(stats.pair_lo) - lw.take(stats.pair_hi)
-    count = stats.pair_count
-    inv_dt = stats.pair_inv_dt
-    y1 = float(_sum(count * t_pair**2 * inv_dt))
-    y2 = float(_sum(stats.pair_usum * t_pair * inv_dt))
-    r = float(_sum(count * t_pair))
-    sums = (y1, y2, r)
+    terms = stats.pair_weights * t_pair
+    terms[0] *= t_pair
+    sums = tuple(_sum(terms, axis=1).tolist())
     object.__setattr__(stats, "_pair_memo", (eta, log_alpha, sums))
     return sums
 

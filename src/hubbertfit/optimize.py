@@ -16,6 +16,7 @@ Nelder-Mead is the unconstrained simplex search that fits the profiled
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +53,13 @@ _MAX_START_TRIES = 1000
 # Cap on the VNS local searches (SA runs) after phase 1.
 _MAX_LOCAL_SEARCHES = 200
 
-# Nelder-Mead stops once every vertex is this close to the best one in f
-# and in each coordinate, or after _NM_MAX_ITER iterations.
-_NM_TOLERANCE = 1e-10
+# Nelder-Mead stops once every vertex is within _NM_F_TOLERANCE of the best
+# one in f and within _NM_X_TOLERANCE in each coordinate, or after
+# _NM_MAX_ITER iterations.  sqrt(eps) is the resolution of a minimizer's
+# location: a change of that size moves a smooth f by about eps relative,
+# which its rounding cannot tell from noise.
+_NM_F_TOLERANCE = 1e-10
+_NM_X_TOLERANCE = math.sqrt(sys.float_info.epsilon)
 _NM_MAX_ITER = 1000
 
 
@@ -383,6 +388,11 @@ def multistart(
     return min(results, key=lambda r: r.best.value)
 
 
+def _affine(base, c, step):
+    """base + c * step, per coordinate of two float tuples."""
+    return tuple([b + c * s for b, s in zip(base, step)])
+
+
 def nelder_mead(f, x0) -> NMResult:
     """Minimize f over R^n by the Nelder-Mead simplex search.
 
@@ -390,12 +400,21 @@ def nelder_mead(f, x0) -> NMResult:
     shrink 1/2 (Nelder and Mead, Comput. J. 1965, in the form of Lagarias
     et al., SIAM J. Optim. 1998).  The first simplex is x0 and x0 plus a
     unit step along each axis.  stop_reason is "converged" when the
-    simplex spans at most 1e-10 in f and in every coordinate, else
-    "max_iter" after 1000 iterations.  Deterministic; f may return +inf,
-    never NaN.
+    simplex spans at most 1e-10 in f and at most sqrt(eps) ~ 1.5e-8 in
+    every coordinate (the resolution below which rounding in f, not f
+    itself, orders the vertices; Press et al., Numerical Recipes, 10.1),
+    else "max_iter" after 1000 iterations.  Deterministic; f may return
+    +inf, never NaN.
+
+    Points are tuples of Python floats, and f is called with one; on the
+    2-d profile search, numpy's per-call cost on 2-element arrays would
+    outweigh the arithmetic.  Each coordinate is computed by the same IEEE
+    operations, in the same order, as the numpy-vector form of the
+    algorithm, so the trajectory is the same.  best.theta is a tuple.
     """
-    x0 = np.asarray(x0, dtype=float)
-    simplex = [x0, *(x0 + unit for unit in np.eye(x0.size))]
+    x0 = tuple(float(v) for v in x0)
+    n = len(x0)
+    simplex = [x0, *(tuple(v + (1.0 if j == i else 0.0) for j, v in enumerate(x0)) for i in range(n))]
     values = [f(x) for x in simplex]
     n_evals = len(simplex)
     stop_reason = "max_iter"
@@ -404,18 +423,24 @@ def nelder_mead(f, x0) -> NMResult:
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         best, worst = simplex[0], simplex[-1]
-        if values[-1] - values[0] <= _NM_TOLERANCE and all(
-            np.max(np.abs(x - best)) <= _NM_TOLERANCE for x in simplex[1:]
+        if values[-1] - values[0] <= _NM_F_TOLERANCE and all(
+            abs(v - b) <= _NM_X_TOLERANCE for x in simplex[1:] for v, b in zip(x, best)
         ):
             stop_reason = "converged"
             break
-        centroid = sum(simplex[:-1]) / (len(simplex) - 1)
-        step = centroid - worst
-        reflected = centroid + step
+        centroid = []
+        for coords in zip(*simplex[:-1]):
+            # 0 + x_1 + ... + x_n, left to right, as the vector sum() does
+            total = 0.0
+            for v in coords:
+                total += v
+            centroid.append(total / n)
+        step = tuple(c - w for c, w in zip(centroid, worst))
+        reflected = _affine(centroid, 1.0, step)
         f_r = f(reflected)
         n_evals += 1
         if f_r < values[0]:
-            expanded = centroid + 2.0 * step
+            expanded = _affine(centroid, 2.0, step)
             f_e = f(expanded)
             n_evals += 1
             simplex[-1], values[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
@@ -424,13 +449,13 @@ def nelder_mead(f, x0) -> NMResult:
             simplex[-1], values[-1] = reflected, f_r
             continue
         outside = f_r < values[-1]
-        contracted = centroid + (0.5 if outside else -0.5) * step
+        contracted = _affine(centroid, 0.5 if outside else -0.5, step)
         f_c = f(contracted)
         n_evals += 1
         if (f_c <= f_r) if outside else (f_c < values[-1]):
             simplex[-1], values[-1] = contracted, f_c
             continue
-        simplex = [best, *(best + 0.5 * (x - best) for x in simplex[1:])]
+        simplex = [best, *(tuple([b + 0.5 * (v - b) for v, b in zip(x, best)]) for x in simplex[1:])]
         values = [values[0], *(f(x) for x in simplex[1:])]
         n_evals += len(simplex) - 1
     i = min(range(len(values)), key=values.__getitem__)

@@ -10,6 +10,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.optimize import minimize
 
 import hubbertfit as hf
@@ -80,6 +81,7 @@ def test_criterion_2_likelihood_oracle_equivalence():
            f"worst abs diff {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_3_simulation_study_reproduction():
     grid = hf.PathGrid(np.arange(0.0, 51.0))
     failures = []

@@ -506,6 +506,22 @@ def test_fit_non_finite_peak_point_exits_1(capsys, peak):
     assert "must be" in captured.err and "finite" in captured.err
 
 
+@pytest.mark.parametrize("peak, message", [
+    (("--peak-x", "1568", "--peak-s", "nan"), "--peak-s must be finite"),
+    (("--peak-x", "1568", "--peak-s=-inf"), "--peak-s must be finite"),
+    (("--peak-x", "nan", "--peak-s", "2014"), "--peak-x must be positive and finite"),
+    (("--peak-x", "inf", "--peak-s", "2014"), "--peak-x must be positive and finite"),
+    (("--peak-x", "0", "--peak-s", "2014"), "--peak-x must be positive and finite"),
+    (("--peak-x", "-5", "--peak-s", "2014"), "--peak-x must be positive and finite"),
+])
+def test_fit_peak_point_checked_before_fit(capsys, monkeypatch, peak, message):
+    monkeypatch.setattr(hf.inference, "fit", _fit_must_not_run)
+    assert main(["fit", "--data", "norway", *peak]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("command", ["fit", "bounds"])
 def test_config_infinite_sigma_cap_exits_1(tmp_path, capsys, command):
     path = tmp_path / "cap.json"

@@ -3,14 +3,23 @@
 The other determinism tests compare one run with another run of the same
 code, so they cannot see a change that moves every run alike.  These
 values were recorded from the library before its annealing hot path was
-rewritten; any edit to the likelihood kernel, the objective closure or
-the SA step must reproduce them bit for bit (values are compared through
-repr of Python floats).  The forecast bands, the conditional peak, the
-reference panel and the curve/transition digest were recorded before the
-Hubbert curve was routed through one log-mean formula, which had to keep
-them too.  The short-chain fits name the paper's "vns-sa" search, which
-was the default when they were recorded; the profile fit's pin was
-recorded when that path was added.
+rewritten; an edit to the objective closure or the SA step must
+reproduce them bit for bit (values are compared through repr of Python
+floats).  An edit to the rounding of the likelihood kernel (the order of
+its products and sums) may move objective values in their last bits, and
+only those: the short-chain fit's objective_value and the profile fit's
+objective_value and theta_hat.  The annealer compares objective values
+exactly, so such an edit must still leave the short-chain fit's
+theta_hat, n_evals and stop reason, its forecast bands and peak as they
+are; each moved pin is checked against its old value before it is
+re-recorded.  The forecast bands, the conditional peak, the reference
+panel and the curve/transition digest were recorded before the Hubbert
+curve was routed through one log-mean formula, which had to keep them
+too.  The short-chain fits name the paper's "vns-sa" search, which was
+the default when they were recorded; the profile fit's pin was recorded
+when that path was added, and its n_evals again (172 -> 147, theta_hat
+and objective unchanged) when Nelder-Mead's coordinate tolerance became
+sqrt(eps).
 """
 
 import hashlib
@@ -42,7 +51,7 @@ def test_norway_profile_fit_is_pinned():
         "(0.047011942278595696, 0.8685462631921985, 0.060428466485833526)"
     )
     assert repr(float(fit.objective_value)) == "-78.38362310158337"
-    assert fit.n_evals == 172
+    assert fit.n_evals == 147
     assert fit.stop_reason == "converged"
 
 

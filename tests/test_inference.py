@@ -512,3 +512,24 @@ def test_profile_fit_warns_when_the_search_hits_max_iter(monkeypatch):
     assert capped.warnings == [
         "the profile search stopped at the Nelder-Mead iteration cap without converging"
     ]
+
+
+@pytest.mark.parametrize("panel, urr", [
+    pytest.param(lambda: reference_panel(1), None, id="ref-panel-seed1"),
+    pytest.param(lambda: reference_panel(2), None, id="ref-panel-seed2"),
+    pytest.param(lambda: reference_panel(3), None, id="ref-panel-seed3"),
+    pytest.param(load_norway, NORWAY_URR, id="norway-urr"),
+    pytest.param(load_kazakhstan, KAZAKHSTAN_URR, id="kazakhstan-urr"),
+])
+def test_profile_search_stops_at_the_objective_resolution(monkeypatch, panel, urr):
+    # shrinking the simplex from sqrt(eps) down to 1e-10 in each coordinate
+    # costs evaluations and moves neither the optimum nor its value
+    panel = panel()
+    fit = hf.fit(panel, urr=urr)
+    monkeypatch.setattr("hubbertfit.optimize._NM_X_TOLERANCE", 1e-10)
+    tight = hf.fit(panel, urr=urr)
+    assert fit.stop_reason == tight.stop_reason == "converged"
+    assert fit.n_evals < tight.n_evals
+    assert abs(fit.objective_value - tight.objective_value) <= 1e-9
+    moved = np.abs(np.subtract(fit.theta_hat, tight.theta_hat)) / np.array(tight.std_errors)
+    assert np.all(moved <= 1e-4)

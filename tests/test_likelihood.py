@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -257,6 +257,18 @@ def test_from_panel_merges_repeated_pairs():
     assert_same_bytes(stats, per_transition_stats(panel))
 
 
+@pytest.mark.parametrize("build", [SufficientStats.from_panel, per_transition_stats])
+def test_pair_weights_are_derived_once(build):
+    stats = build(irregular_panel(3))
+    count, inv_dt, usum = stats.pair_count, stats.pair_inv_dt, stats.pair_usum
+    want = np.stack([count * inv_dt, usum * inv_dt, count])
+    assert stats.pair_weights.shape == (3, count.size)
+    assert stats.pair_weights.tobytes() == want.tobytes()
+    assert "pair_weights" not in {f.name for f in fields(SufficientStats)}
+    with pytest.raises(FrozenInstanceError):
+        stats.pair_weights = want
+
+
 def test_pair_sums_memo_never_returns_stale_sums():
     # two panels, one (eta, alpha): every call, in any interleaving, must
     # equal the same call on freshly built stats, which have no memo
@@ -284,12 +296,13 @@ def test_profile_objective_runs_the_kernel_once(monkeypatch):
     reductions = []
 
     def counted(a, *args, **kwargs):
-        reductions.append(a.size)
+        reductions.append(a.shape)
         return np.add.reduce(a, *args, **kwargs)
 
     monkeypatch.setattr(likelihood, "_sum", counted)
     value, sigma = profile_objective(stats, 0.11, 0.46, (1e-3, 0.5))
-    assert len(reductions) == 3  # Y1, Y2 and R of one pass
+    # one pass: Y1, Y2 and R in one row-wise reduction of the pair weights
+    assert reductions == [stats.pair_weights.shape]
     assert value == hf.objective(SufficientStats.from_panel(simulated_panel(23)), 0.11, 0.46, sigma * sigma)
 
 

@@ -277,3 +277,129 @@ def test_nelder_mead_stops_at_the_iteration_cap(monkeypatch):
     assert res.stop_reason == "max_iter"
     assert res.n_evals == len(points)
     assert res.best.value == min(rosenbrock(x) for x in points)
+
+
+def nelder_mead_vectors(f, x0, f_tol, x_tol, max_iter=1000):
+    """The simplex search on numpy vectors, as the library wrote it before its
+    points became float tuples; returns the NMResult fields plus, for every
+    stop test, the simplex's (value spread, largest coordinate spread)."""
+    x0 = np.asarray(x0, dtype=float)
+    simplex = [x0, *(x0 + unit for unit in np.eye(x0.size))]
+    values = [f(x) for x in simplex]
+    n_evals = len(simplex)
+    stop_reason = "max_iter"
+    spreads = []
+    for _ in range(max_iter):
+        order = sorted(range(len(values)), key=values.__getitem__)
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        best, worst = simplex[0], simplex[-1]
+        spreads.append((values[-1] - values[0], max(float(np.max(np.abs(x - best))) for x in simplex[1:])))
+        if values[-1] - values[0] <= f_tol and all(np.max(np.abs(x - best)) <= x_tol for x in simplex[1:]):
+            stop_reason = "converged"
+            break
+        centroid = sum(simplex[:-1]) / (len(simplex) - 1)
+        step = centroid - worst
+        reflected = centroid + step
+        f_r = f(reflected)
+        n_evals += 1
+        if f_r < values[0]:
+            expanded = centroid + 2.0 * step
+            f_e = f(expanded)
+            n_evals += 1
+            simplex[-1], values[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
+            continue
+        if f_r < values[-2]:
+            simplex[-1], values[-1] = reflected, f_r
+            continue
+        outside = f_r < values[-1]
+        contracted = centroid + (0.5 if outside else -0.5) * step
+        f_c = f(contracted)
+        n_evals += 1
+        if (f_c <= f_r) if outside else (f_c < values[-1]):
+            simplex[-1], values[-1] = contracted, f_c
+            continue
+        simplex = [best, *(best + 0.5 * (x - best) for x in simplex[1:])]
+        values = [values[0], *(f(x) for x in simplex[1:])]
+        n_evals += len(simplex) - 1
+    i = min(range(len(values)), key=values.__getitem__)
+    return simplex[i], values[i], stop_reason, n_evals, spreads
+
+
+def assert_same_search(f, x0):
+    """nelder_mead and the vector reference call f at the same points, bit for bit."""
+    f_new, points_new = counted(f)
+    f_ref, points_ref = counted(f)
+    res = nelder_mead(f_new, x0)
+    theta, value, stop_reason, n_evals, spreads = nelder_mead_vectors(
+        f_ref, x0, optimize._NM_F_TOLERANCE, optimize._NM_X_TOLERANCE
+    )
+    assert np.array(points_new).tobytes() == np.array(points_ref).tobytes()
+    assert type(res.best.theta) is tuple
+    assert np.array(res.best.theta).tobytes() == theta.tobytes()
+    assert (repr(float(res.best.value)), res.stop_reason, res.n_evals) == (repr(float(value)), stop_reason, n_evals)
+    return spreads
+
+
+def test_nelder_mead_equals_the_vector_reference_on_rosenbrock():
+    for x0 in ([-1.2, 1.0], [0.3, -2.5], [-0.0, 0.0]):
+        assert_same_search(rosenbrock, x0)
+
+
+def test_nelder_mead_equals_the_vector_reference_on_a_profile_fit(monkeypatch):
+    # the reference panel of seed 1, fitted with the search swapped for the
+    # reference: both call the profiled objective at the same (eta, alpha)
+    panel = hf.simulate_paths(
+        hf.ProcessParams(eta=0.1, alpha=0.45, sigma=0.05, init=hf.InitialDistribution.degenerate(100.0)),
+        hf.PathGrid(np.arange(0.0, 51.0)), 50, 1,
+    )
+    calls = []
+    profile_objective = hf.likelihood.profile_objective
+
+    def recorded(stats, eta, alpha, sigma_interior):
+        calls[-1].append((eta, alpha))
+        return profile_objective(stats, eta, alpha, sigma_interior)
+
+    def reference(f, x0):
+        theta, value, stop_reason, n_evals, _ = nelder_mead_vectors(
+            f, x0, optimize._NM_F_TOLERANCE, optimize._NM_X_TOLERANCE
+        )
+        return optimize.NMResult(Candidate(theta, value), stop_reason, n_evals)
+
+    monkeypatch.setattr(hf.likelihood, "profile_objective", recorded)
+    fits = []
+    for search in (nelder_mead, reference):
+        monkeypatch.setattr(optimize, "nelder_mead", search)
+        calls.append([])
+        fits.append(hf.fit(panel))
+    assert calls[0] == calls[1] and len(calls[0]) == fits[0].n_evals
+    got, want = fits
+    assert repr((got.theta_hat, got.objective_value, got.n_evals, got.stop_reason)) == repr(
+        (want.theta_hat, want.objective_value, want.n_evals, want.stop_reason)
+    )
+    assert got.stop_reason == "converged"
+
+
+def steep(x):
+    return 1e12 * ((x[0] - 0.3) ** 2 + (x[1] + 0.2) ** 2)
+
+
+def flat(x):
+    return 0.0
+
+
+def test_nelder_mead_stops_at_the_first_simplex_within_both_spreads():
+    # 1e-10 in f and sqrt(eps) = 2**-26 in every coordinate
+    assert (optimize._NM_F_TOLERANCE, optimize._NM_X_TOLERANCE) == (1e-10, 2.0**-26)
+    f_tol, x_tol = optimize._NM_F_TOLERANCE, optimize._NM_X_TOLERANCE
+    for f in (rosenbrock, steep, flat):
+        spreads = assert_same_search(f, [-1.2, 1.0])
+        *before, last = spreads
+        assert last[0] <= f_tol and last[1] <= x_tol
+        assert all(v > f_tol or x > x_tol for v, x in before)
+    # on the steep bowl the f spread is the binding one ...
+    assert any(v > f_tol and x <= x_tol for v, x in assert_same_search(steep, [-1.2, 1.0]))
+    # ... and on a flat f every iteration halves the simplex, from a spread of 1
+    # to 2**-26: 26 shrinks of a reflection, a contraction and two new vertices
+    res = nelder_mead(flat, [-1.2, 1.0])
+    assert (res.stop_reason, res.n_evals, res.best.theta) == ("converged", 3 + 26 * 4, (-1.2, 1.0))
