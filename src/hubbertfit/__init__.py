@@ -4,8 +4,10 @@ A library for fitting the stochastic Hubbert production model to panels
 of discretely observed sample paths by exact maximum likelihood, with
 Fisher/delta asymptotic errors and conditional-mean forecasts.  The
 default fit profiles sigma^2 out in closed form and runs Nelder-Mead over
-(eta, alpha); the paper's simulated annealing and hybrid VNS-SA
-metaheuristic over (eta, alpha, sigma) remain available.
+(eta, alpha) from the best point of a 3x3 grid over the box; the paper's
+simulated annealing and hybrid VNS-SA metaheuristic over
+(eta, alpha, sigma) remain available.  A fit warns when an estimate ends
+on an edge of the box.
 """
 
 from . import datasets

@@ -46,6 +46,19 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 
+# fit warns about each parameter of theta_hat within this fraction of its
+# box width from an edge of the box.
+_AT_BOUND = 1e-6
+
+# The profile search evaluates these logit points (u_eta, u_alpha) and starts
+# Nelder-Mead at the best; the box centre comes first, so it wins a tie.
+_STARTS = (
+    (0.0, 0.0),
+    (-2.0, -2.0), (-2.0, 0.0), (-2.0, 2.0),
+    (0.0, -2.0), (0.0, 2.0),
+    (2.0, -2.0), (2.0, 0.0), (2.0, 2.0),
+)
+
 
 def _dlog_w(eta: float, alpha: float, t):
     """(d/d eta, d/d alpha) of ln(eta + alpha^t), for scalar or array t."""
@@ -322,9 +335,13 @@ def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
 
     u in R^2 maps to the box by a logistic per coordinate, 1/(1 + e^-u)
     written with tanh so that it cannot overflow, and is then clipped to
-    box.interior, so every point searched lies strictly inside the box;
-    the one start u = 0 is the box centre.  Returns theta, its objective
-    value, the objective calls made and the stop reason.
+    box.interior, so every point searched lies strictly inside the box.
+    The objective is evaluated on the grid u in {-2, 0, 2}^2 and
+    Nelder-Mead starts at its best point, the box centre u = 0 on a tie:
+    a single start at the centre could drift to an edge, where the
+    logistic flattens the objective, and stop there far from the optimum.
+    Returns theta, its objective value, the objective calls made (grid
+    included) and the stop reason.
     """
     (lo_eta, lo_alpha), (w_eta, w_alpha) = box.lower[:2].tolist(), box.widths[:2].tolist()
     (in_lo_eta, in_hi_eta), (in_lo_alpha, in_hi_alpha), sigma_interior = np.transpose(box.interior).tolist()
@@ -341,10 +358,10 @@ def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
     def profile(u):
         return lik.profile_objective(stats, *point(u), sigma_interior)[0]
 
-    result = opt.nelder_mead(profile, (0.0, 0.0))
+    result = opt.nelder_mead(profile, min(_STARTS, key=profile))
     eta, alpha = point(result.best.theta)
     value, sigma = lik.profile_objective(stats, eta, alpha, sigma_interior)
-    return (eta, alpha, sigma), value, result.n_evals + 1, result.stop_reason
+    return (eta, alpha, sigma), value, len(_STARTS) + result.n_evals + 1, result.stop_reason
 
 
 def _annealing_search(stats, box, sa_config, vns_config, seed, n_restarts, algorithm):
@@ -388,10 +405,18 @@ def fit(
     minimized over (eta, alpha, sigma) by the requested algorithm.
 
     "profile" (the default) solves sigma^2 in closed form and runs one
-    deterministic Nelder-Mead over (eta, alpha) from the box centre; it
-    records seed but does not use it, ignores sa_config and vns_config,
-    and takes only n_restarts = 1.  "sa" and "vns-sa" are the paper's
-    annealing searches over all three parameters, best of n_restarts.
+    deterministic Nelder-Mead over (eta, alpha) from the best of a 3x3
+    grid of points in the box (see _profile_search), stopping once its
+    simplex agrees to 1e-10 in value; it records seed but does not use
+    it, ignores sa_config and vns_config, and takes only n_restarts = 1.
+    "sa" and "vns-sa" are the paper's annealing searches over all three
+    parameters, best of n_restarts.
+
+    For every algorithm, warnings names each parameter of theta_hat that
+    lies within 1e-6 of its box width from an edge of the box (a sigma
+    clipped to the box included): there the optimum may lie outside the
+    box and the asymptotic errors, which assume an interior optimum, do
+    not hold.
     """
     if algorithm == "profile" and n_restarts != 1:
         raise ParameterDomainError(
@@ -416,6 +441,14 @@ def fit(
         warnings.append(
             "the profile search stopped at the Nelder-Mead iteration cap "
             "without converging"
+        )
+    at_bound = np.minimum(theta - box.lower, box.upper - theta) <= _AT_BOUND * box.widths
+    if at_bound.any():
+        names = ", ".join(name for name, edge in zip(("eta", "alpha", "sigma"), at_bound) if edge)
+        warnings.append(
+            f"{names} ended within {_AT_BOUND:g} of the box width from an edge of "
+            "the search box; the optimum may lie outside the box, and the "
+            "standard errors assume an interior one"
         )
     info = fisher_information((eta_hat, alpha_hat, sigma_hat), stats)
     try:

@@ -16,7 +16,6 @@ Nelder-Mead is the unconstrained simplex search that fits the profiled
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,12 +53,10 @@ _MAX_START_TRIES = 1000
 _MAX_LOCAL_SEARCHES = 200
 
 # Nelder-Mead stops once every vertex is within _NM_F_TOLERANCE of the best
-# one in f and within _NM_X_TOLERANCE in each coordinate, or after
-# _NM_MAX_ITER iterations.  sqrt(eps) is the resolution of a minimizer's
-# location: a change of that size moves a smooth f by about eps relative,
-# which its rounding cannot tell from noise.
+# one in f, or after _NM_MAX_ITER iterations.  Shrinking the simplex further
+# in x, once its values agree, moves the minimizer by far less than its
+# standard error and the value by less than the tolerance.
 _NM_F_TOLERANCE = 1e-10
-_NM_X_TOLERANCE = math.sqrt(sys.float_info.epsilon)
 _NM_MAX_ITER = 1000
 
 
@@ -399,12 +396,11 @@ def nelder_mead(f, x0) -> NMResult:
     Standard coefficients: reflection 1, expansion 2, contraction 1/2 and
     shrink 1/2 (Nelder and Mead, Comput. J. 1965, in the form of Lagarias
     et al., SIAM J. Optim. 1998).  The first simplex is x0 and x0 plus a
-    unit step along each axis.  stop_reason is "converged" when the
-    simplex spans at most 1e-10 in f and at most sqrt(eps) ~ 1.5e-8 in
-    every coordinate (the resolution below which rounding in f, not f
-    itself, orders the vertices; Press et al., Numerical Recipes, 10.1),
-    else "max_iter" after 1000 iterations.  Deterministic; f may return
-    +inf, never NaN.
+    unit step along each axis.  stop_reason is "converged" when every
+    vertex is within 1e-10 of the best in f, else "max_iter" after 1000
+    iterations; the simplex is not shrunk further in x once its values
+    agree, so best.theta is located only as well as f resolves it.
+    Deterministic; f may return +inf, never NaN.
 
     Points are tuples of Python floats, and f is called with one; on the
     2-d profile search, numpy's per-call cost on 2-element arrays would
@@ -423,9 +419,7 @@ def nelder_mead(f, x0) -> NMResult:
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         best, worst = simplex[0], simplex[-1]
-        if values[-1] - values[0] <= _NM_F_TOLERANCE and all(
-            abs(v - b) <= _NM_X_TOLERANCE for x in simplex[1:] for v, b in zip(x, best)
-        ):
+        if values[-1] - values[0] <= _NM_F_TOLERANCE:
             stop_reason = "converged"
             break
         centroid = []
