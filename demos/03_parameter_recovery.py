@@ -2,8 +2,8 @@
 
 Simulates the reference protocol (50 paths observed at 51 integer times)
 and minimizes the exact likelihood objective twice: with the default
-search (sigma^2 profiled out in closed form, Nelder-Mead over eta and
-alpha) and with the paper's annealing plus variable-neighborhood
+search (sigma^2 profiled out in closed form, Fisher scoring over eta
+and alpha) and with the paper's annealing plus variable-neighborhood
 refinement over all three parameters.
 """
 

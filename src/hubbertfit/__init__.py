@@ -3,9 +3,9 @@
 A library for fitting the stochastic Hubbert production model to panels
 of discretely observed sample paths by exact maximum likelihood, with
 Fisher/delta asymptotic errors and conditional-mean forecasts.  The
-default fit profiles sigma^2 out in closed form and runs Nelder-Mead over
-(eta, alpha) from the best point of a 3x3 grid over the box; the paper's
-simulated annealing and hybrid VNS-SA metaheuristic over
+default fit profiles sigma^2 out in closed form and runs Fisher scoring
+over (eta, alpha) from three points of the box, keeping the best; the
+paper's simulated annealing and hybrid VNS-SA metaheuristic over
 (eta, alpha, sigma) remain available.  A fit warns when an estimate ends
 on an edge of the box.
 """

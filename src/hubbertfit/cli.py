@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--urr", type=float, default=None)
     fit_p.add_argument("--seed", type=int, default=None)
     fit_p.add_argument("--algorithm", choices=("profile", "sa", "vns-sa"), default="profile",
-                       help="profile: Nelder-Mead on the sigma-profiled likelihood (deterministic); "
+                       help="profile: Fisher scoring on the sigma-profiled likelihood (deterministic); "
                        "sa, vns-sa: the paper's seeded annealing searches")
     fit_p.add_argument("--restarts", type=int, default=None)
     fit_p.add_argument("--peak-x", type=float, default=None,

@@ -4,8 +4,8 @@ The pipeline shifts all times so the panel starts at 0 (which rescales
 eta to eta' = alpha^(-first_time) * eta and keeps it well away from the
 underflow regime), estimates the initial-distribution parameters in
 closed form, builds the bounded search box, and minimizes the likelihood
-objective.  By default sigma^2 is profiled out in closed form and
-Nelder-Mead searches (eta, alpha); the paper's simulated annealing and
+objective.  By default sigma^2 is profiled out in closed form and Fisher
+scoring searches (eta, alpha); the paper's simulated annealing and
 hybrid VNS-SA search over (eta, alpha, sigma) remain available.
 
 Standard errors come from the Fisher information of the transition
@@ -50,21 +50,11 @@ _COND_LIMIT = 1e12
 # box width from an edge of the box.
 _AT_BOUND = 1e-6
 
-# The profile search evaluates these logit points (u_eta, u_alpha) and starts
-# Nelder-Mead at the best; the box centre comes first, so it wins a tie.
-_STARTS = (
-    (0.0, 0.0),
-    (-2.0, -2.0), (-2.0, 0.0), (-2.0, 2.0),
-    (0.0, -2.0), (0.0, 2.0),
-    (2.0, -2.0), (2.0, 0.0), (2.0, 2.0),
-)
-
-
-def _dlog_w(eta: float, alpha: float, t):
-    """(d/d eta, d/d alpha) of ln(eta + alpha^t), for scalar or array t."""
-    a_t = alpha_pow(alpha, t)
-    w = eta + a_t
-    return 1.0 / w, t * a_t / alpha / w
+# The profile search's settings; see _profile_search.
+_MAX_ITER = 100
+_MAX_STEP = 4.0
+_DECREMENT = 2e-10
+_ARMIJO = 1e-4
 
 
 def fisher_information(theta, data) -> np.ndarray:
@@ -74,40 +64,17 @@ def fisher_information(theta, data) -> np.ndarray:
     in (eta, alpha, sigma^2), which is the form whose inverse feeds the
     delta method below.  Built from the derivatives of ln(eta + alpha^t)
     at each unique observation time, differenced over the transition
-    pairs; symmetric by construction.
+    pairs, by the derivative pass of the profile search; symmetric by
+    construction.
     """
     eta, alpha, sigma = (float(v) for v in theta)
     _check_eta_alpha(eta, alpha)
     if not sigma > 0.0:
         raise ParameterDomainError(f"sigma must be positive, got {sigma}")
     stats = lik._as_stats(data)
-
-    # dT/d(eta), dT/d(alpha) per pair, T = ln(eta+alpha^s) - ln(eta+alpha^t)
-    d_eta, d_alpha = _dlog_w(eta, alpha, stats.u_times)
-    te = d_eta.take(stats.pair_lo) - d_eta.take(stats.pair_hi)
-    ta = d_alpha.take(stats.pair_lo) - d_alpha.take(stats.pair_hi)
-
-    c = stats.pair_count
-    inv_dt = stats.pair_inv_dt
-    m1 = float(np.sum(c * te**2 * inv_dt))
-    m2 = float(np.sum(c * ta**2 * inv_dt))
-    m3 = float(np.sum(c * te * ta * inv_dt))
-    x1 = float(np.sum(c * te))
-    x2 = float(np.sum(c * ta))
-    z2 = stats.z2
-    n_trans = stats.n_transitions
     sigma_sq = sigma * sigma
-
-    i_ee = 4.0 * m1
-    i_ea = 4.0 * m3 + 2.0 * x1 / alpha
-    i_aa = 4.0 * m2 + z2 / alpha**2 + 4.0 * x2 / alpha
-    i_ev = -x1
-    i_av = -x2 - z2 / (2.0 * alpha)
-    i_vv = 0.5 * n_trans / sigma_sq + 0.25 * z2
-    return (
-        np.array([[i_ee, i_ea, i_ev], [i_ea, i_aa, i_av], [i_ev, i_av, i_vv]])
-        / sigma_sq
-    )
+    sums = lik._derivative_sums(stats, eta, alpha)
+    return np.array(lik._information(stats, sums, alpha, sigma_sq)) / sigma_sq
 
 
 def asymptotic_cov(info: np.ndarray, sigma: float) -> np.ndarray:
@@ -169,8 +136,8 @@ def conditional_mean_gradient(eta: float, alpha: float, y: float, s: float, t) -
 
     An array of n times t gives an (n, 3) stack, one gradient per time.
     """
-    de_s, da_s = _dlog_w(eta, alpha, s)
-    de_t, da_t = _dlog_w(eta, alpha, t)
+    _, de_s, da_s = lik._log_w(eta, alpha, s)
+    _, de_t, da_t = lik._log_w(eta, alpha, t)
     m = conditional_mean(t, y, s, eta, alpha)
     dlog_eta = 2.0 * (de_s - de_t)
     dlog_alpha = 2.0 * (da_s - da_t) + (t - s) / alpha
@@ -330,38 +297,83 @@ def forecast(
     )
 
 
-def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
-    """Nelder-Mead over (eta, alpha) on the profiled objective.
+def _scoring_step(gradient, information):
+    """The minimizer of the model g.s + s.M.s/2 over the box |s_i| <= _MAX_STEP.
 
-    u in R^2 maps to the box by a logistic per coordinate, 1/(1 + e^-u)
-    written with tanh so that it cannot overflow, and is then clipped to
-    box.interior, so every point searched lies strictly inside the box.
-    The objective is evaluated on the grid u in {-2, 0, 2}^2 and
-    Nelder-Mead starts at its best point, the box centre u = 0 on a tie:
-    a single start at the centre could drift to an edge, where the
-    logistic flattens the objective, and stop there far from the optimum.
-    Returns theta, its objective value, the objective calls made (grid
-    included) and the stop reason.
+    That is -M^-1 g if it lies in the box, else the best point of the
+    box's edges; clipping the coordinates of -M^-1 g instead ends short
+    of the optimum on some panels whose eta saturates.  Where a diagonal
+    entry of M is not positive (the logit Jacobian can underflow far out
+    on an edge), the linear model's minimizer.
     """
-    (lo_eta, lo_alpha), (w_eta, w_alpha) = box.lower[:2].tolist(), box.widths[:2].tolist()
-    (in_lo_eta, in_hi_eta), (in_lo_alpha, in_hi_alpha), sigma_interior = np.transpose(box.interior).tolist()
+    (g0, g1), (m00, m01, m11), r = gradient, information, _MAX_STEP
+    if not (m00 > 0.0 and m11 > 0.0):
+        return -math.copysign(r, g0), -math.copysign(r, g1)
+    det = m00 * m11 - m01 * m01
+    if det > 0.0:
+        s0, s1 = (m01 * g1 - m11 * g0) / det, (m01 * g0 - m00 * g1) / det
+        if abs(s0) <= r and abs(s1) <= r:
+            return s0, s1
+    edges = [(c, min(max(-(g1 + m01 * c) / m11, -r), r)) for c in (-r, r)]
+    edges += [(min(max(-(g0 + m01 * c) / m00, -r), r), c) for c in (-r, r)]
+    return min(
+        edges, key=lambda s: s[0] * (g0 + 0.5 * m00 * s[0] + m01 * s[1]) + s[1] * (g1 + 0.5 * m11 * s[1])
+    )
 
-    def point(u):
-        # np.tanh, not math.tanh: the two differ in the last bit
-        u_eta, u_alpha = u
-        g_eta = 0.5 * (1.0 + float(np.tanh(0.5 * u_eta)))
-        g_alpha = 0.5 * (1.0 + float(np.tanh(0.5 * u_alpha)))
-        eta = min(max(lo_eta + w_eta * g_eta, in_lo_eta), in_hi_eta)
-        alpha = min(max(lo_alpha + w_alpha * g_alpha, in_lo_alpha), in_hi_alpha)
-        return eta, alpha
 
-    def profile(u):
-        return lik.profile_objective(stats, *point(u), sigma_interior)[0]
+def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
+    """Safeguarded Fisher scoring over (eta, alpha) on the profiled objective.
 
-    result = opt.nelder_mead(profile, min(_STARTS, key=profile))
-    eta, alpha = point(result.best.theta)
-    value, sigma = lik.profile_objective(stats, eta, alpha, sigma_interior)
-    return (eta, alpha, sigma), value, len(_STARTS) + result.n_evals + 1, result.stop_reason
+    u in R^2 maps to the box by a logistic per coordinate (tanh, which
+    cannot overflow), clipped to box.interior.  Each evaluation is one
+    lik.profile_pass; the logit Jacobian maps its gradient and
+    information to u.  A _scoring_step is halved until the Armijo rule
+    holds.  A start stops "converged" once the decrement -g.step of the
+    step it would take is at most _DECREMENT, "max_iter" after _MAX_ITER
+    steps.  Of the starts u = (0, -2), (0, 0), (0, 2), the best end wins
+    (the earlier on a tie): one start can end on an edge, where the
+    logistic flattens the objective.  Returns theta, its objective value,
+    the evaluations made and the stop reason.
+    """
+    lower, widths = box.lower[:2].tolist(), box.widths[:2].tolist()
+    inner_lo, inner_hi = (b.tolist() for b in box.interior)
+    sigma_interior = inner_lo[2], inner_hi[2]
+    n_evals = 0
+
+    def evaluate(u):
+        nonlocal n_evals
+        n_evals += 1
+        theta, jac = [], []
+        for v, lo, w, a, b in zip(u, lower, widths, inner_lo, inner_hi):
+            theta.append(min(max(lo + w * 0.5 * (1.0 + math.tanh(0.5 * v)), a), b))
+            e = math.exp(-abs(v))
+            jac.append(w * e / (1.0 + e) ** 2)
+        value, sigma, (g_eta, g_alpha), (m_ee, m_ea, m_aa) = lik.profile_pass(stats, *theta, sigma_interior)
+        j_eta, j_alpha = jac
+        grad = (j_eta * g_eta, j_alpha * g_alpha)
+        step = _scoring_step(grad, (j_eta * j_eta * m_ee, j_eta * j_alpha * m_ea, j_alpha * j_alpha * m_aa))
+        return value, (*theta, sigma), grad, step
+
+    ends = []
+    for u in ((0.0, -2.0), (0.0, 0.0), (0.0, 2.0)):
+        value, theta, grad, step = evaluate(u)
+        stop_reason = "max_iter"
+        for _ in range(_MAX_ITER):
+            decrement = -(grad[0] * step[0] + grad[1] * step[1])
+            t = 1.0
+            while t * decrement > _DECREMENT:
+                trial_u = (u[0] + t * step[0], u[1] + t * step[1])
+                trial = evaluate(trial_u)
+                if trial[0] <= value - _ARMIJO * t * decrement:
+                    break
+                t *= 0.5
+            else:
+                stop_reason = "converged"
+                break
+            u, (value, theta, grad, step) = trial_u, trial
+        ends.append((value, theta, stop_reason))
+    value, theta, stop_reason = min(ends, key=lambda end: end[0])
+    return theta, value, n_evals, stop_reason
 
 
 def _annealing_search(stats, box, sa_config, vns_config, seed, n_restarts, algorithm):
@@ -404,11 +416,11 @@ def fit(
     from the shifted panel (with the optional URR), and the objective is
     minimized over (eta, alpha, sigma) by the requested algorithm.
 
-    "profile" (the default) solves sigma^2 in closed form and runs one
-    deterministic Nelder-Mead over (eta, alpha) from the best of a 3x3
-    grid of points in the box (see _profile_search), stopping once its
-    simplex agrees to 1e-10 in value; it records seed but does not use
-    it, ignores sa_config and vns_config, and takes only n_restarts = 1.
+    "profile" (the default) solves sigma^2 in closed form and runs
+    deterministic Fisher scoring over (eta, alpha) from three points in
+    the box, keeping the best end point (see _profile_search); it records
+    seed but does not use it, ignores sa_config and vns_config, and takes
+    only n_restarts = 1.
     "sa" and "vns-sa" are the paper's annealing searches over all three
     parameters, best of n_restarts.
 
@@ -439,8 +451,7 @@ def fit(
     warnings = []
     if algorithm == "profile" and stop_reason == "max_iter":
         warnings.append(
-            "the profile search stopped at the Nelder-Mead iteration cap "
-            "without converging"
+            "the profile search stopped at its iteration cap without converging"
         )
     at_bound = np.minimum(theta - box.lower, box.upper - theta) <= _AT_BOUND * box.widths
     if at_bound.any():

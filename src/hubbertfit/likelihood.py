@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import _check_eta_alpha
+from .curve import _check_eta_alpha, alpha_pow
 from .errors import OrderingError, ParameterDomainError
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "eta_alpha_sums",
     "log_likelihood",
     "objective",
-    "profile_objective",
+    "profile_pass",
     "INFEASIBLE",
 ]
 
@@ -270,9 +270,9 @@ def _pair_sums(
     seeded annealing path compares objective values exactly, so its
     output would then depend on the machine.  It runs on every objective
     evaluation, except that a repeat of the last call on the same stats
-    at equal (eta, log_alpha) returns the stored sums, so
-    profile_objective's call to objective at the point it just summed
-    costs no second pass.
+    at equal (eta, log_alpha) returns the stored sums, so profile_pass's
+    call to objective at the point _derivative_sums just summed costs no
+    second pass.
     """
     memo_eta, memo_log_alpha, sums = stats._pair_memo
     if eta == memo_eta and log_alpha == memo_log_alpha:
@@ -359,23 +359,76 @@ def objective(data, eta: float, alpha: float, sigma_sq: float) -> float:
     return _objective(_as_stats(data), eta, alpha, sigma_sq)
 
 
-def profile_objective(
-    stats: SufficientStats, eta: float, alpha: float, sigma_interior: tuple
-) -> tuple[float, float]:
-    """(min over sigma of the objective at (eta, alpha), that sigma).
+def _log_w(eta: float, alpha: float, t) -> np.ndarray:
+    """The stack [ln(eta + alpha^t), d/d eta, d/d alpha of it], for scalar or array t."""
+    a_t = alpha_pow(alpha, t)
+    w = eta + a_t
+    return np.array([np.log(w), 1.0 / w, t * a_t / alpha / w])
 
-    sigma_interior is the closed (lower, upper) interval the minimizer is
-    clipped to: the sigma entries of SolutionBox.interior, not the box's
-    open sigma_range.  With v = sigma^2 the objective is
-    (n/2) ln v + C0/(2v) + C1/2 + z2 v/8, n = N - d and C0 the bracket at
-    drift ln(alpha).  Its derivative in v has the single root
-    v* = 2(sqrt(n^2 + z2 C0) - n)/z2, written below without the
-    cancellation; the objective falls before v* and rises after, so
-    sqrt(v*) clipped to sigma_interior is the minimizer there.  The value
-    is objective() at that sigma, so it is exactly the 3-d objective at
-    the returned point; that call reuses the sums computed here.
+
+def _derivative_sums(stats: SufficientStats, eta: float, alpha: float) -> list:
+    """The ten sums of one derivative pass at a validated (eta, alpha).
+
+    _log_w is evaluated once per unique time and differenced over the
+    pairs into T, T_eta and T_alpha, and the per-pair rows are reduced by
+    one pairwise row sum, as in _pair_sums.  The sums are Y1, Y2 and R
+    (with _pair_sums' own products, and stored in its memo); c*T_eta^2/dt,
+    c*T_alpha^2/dt, c*T_eta*T_alpha/dt, c*T_eta and c*T_alpha (c the pair
+    count, multiplied in the order the pinned covariances were recorded
+    with); and d(Y1 - Y2)/d eta and d(Y1 - Y2)/d alpha.
+    """
+    per_time = _log_w(eta, alpha, stats.u_times)
+    diff = per_time.take(stats.pair_lo, axis=1) - per_time.take(stats.pair_hi, axis=1)
+    t_pair, d_eta_alpha = diff[0], diff[1:]
+    terms = np.empty((10, t_pair.size))
+    np.multiply(stats.pair_weights, t_pair, out=terms[:3])
+    slope = 2.0 * terms[0] - stats.pair_weights[1]  # d(Y1 - Y2)/dT per pair
+    terms[0] *= t_pair
+    np.multiply(d_eta_alpha, d_eta_alpha, out=terms[3:5])
+    terms[3:5] *= stats.pair_count
+    np.multiply(d_eta_alpha, stats.pair_count, out=terms[6:8])
+    np.multiply(terms[6], diff[2], out=terms[5])
+    terms[3:6] *= stats.pair_inv_dt
+    np.multiply(d_eta_alpha, slope, out=terms[8:])
+    sums = _sum(terms, axis=1).tolist()
+    object.__setattr__(stats, "_pair_memo", (eta, math.log(alpha), tuple(sums[:3])))
+    return sums
+
+
+def _information(stats: SufficientStats, sums: list, alpha: float, sigma_sq: float) -> list:
+    """sigma^2 times the Fisher information in (eta, alpha, sigma^2), from _derivative_sums."""
+    m1, m2, m3, x1, x2 = sums[3:8]
+    z2 = stats.z2
+    i_ee = 4.0 * m1
+    i_ea = 4.0 * m3 + 2.0 * x1 / alpha
+    i_aa = 4.0 * m2 + z2 / alpha**2 + 4.0 * x2 / alpha
+    i_ev = -x1
+    i_av = -x2 - z2 / (2.0 * alpha)
+    i_vv = 0.5 * stats.n_transitions / sigma_sq + 0.25 * z2
+    return [[i_ee, i_ea, i_ev], [i_ea, i_aa, i_av], [i_ev, i_av, i_vv]]
+
+
+def profile_pass(
+    stats: SufficientStats, eta: float, alpha: float, sigma_interior: tuple
+) -> tuple:
+    """The sigma-profiled objective at (eta, alpha), from one derivative pass.
+
+    Returns (value, sigma, gradient, information): the minimum over sigma
+    of the objective, its minimizer, the profiled objective's
+    (d/d eta, d/d alpha), which by the envelope theorem is the
+    objective's at that fixed sigma, and its information, the (ee, ea, aa)
+    entries of the Schur complement of the sigma^2 entry of the Fisher
+    information.  sigma_interior is the closed (lower, upper) interval the
+    minimizer is clipped to: the sigma entries of SolutionBox.interior.
+
+    With v = sigma^2 the objective is (n/2) ln v + C0/(2v) + C1/2 + z2 v/8,
+    n = N - d and C0 the bracket at drift ln(alpha); it falls before its
+    one stationary point v* = 2(sqrt(n^2 + z2 C0) - n)/z2 (written below
+    without the cancellation) and rises after.  The value is objective()
+    at sqrt(v*) clipped, which reuses the sums of this pass.
     """
     _check_theta(eta, alpha)
+    sums = _derivative_sums(stats, eta, alpha)
     log_alpha = math.log(alpha)
     c0 = _bracket(stats, eta, log_alpha, log_alpha)
     n = stats.n_transitions
@@ -383,4 +436,17 @@ def profile_objective(
     lo, hi = sigma_interior
     # not v > 0 also holds for a NaN v, where objective() is INFEASIBLE at any sigma
     sigma = min(max(math.sqrt(v) if v > 0.0 else 0.0, lo), hi)
-    return objective(stats, eta, alpha, sigma * sigma), sigma
+    sigma_sq = sigma * sigma
+    value = objective(stats, eta, alpha, sigma_sq)
+
+    # d bracket/d theta over 2 sigma^2, with the bracket's drift ln(alpha) - sigma^2/2
+    _, _, r, _, _, _, x1, x2, slope_eta, slope_alpha = sums
+    drift = log_alpha - 0.5 * sigma_sq
+    gradient = (
+        2.0 * (slope_eta + drift * x1) / sigma_sq,
+        2.0 * (slope_alpha + drift * x2 + (r + 0.5 * (drift * stats.z2 - stats.z3)) / alpha) / sigma_sq,
+    )
+    (i_ee, i_ea, i_ev), (_, i_aa, i_av), (_, _, i_vv) = _information(stats, sums, alpha, sigma_sq)
+    e_v, a_v = i_ev / i_vv, i_av / i_vv
+    information = ((i_ee - i_ev * e_v) / sigma_sq, (i_ea - i_ev * a_v) / sigma_sq, (i_aa - i_av * a_v) / sigma_sq)
+    return value, sigma, gradient, information

@@ -1,4 +1,4 @@
-"""Simulated annealing, a hybrid VNS-SA search over a 3-d box, and Nelder-Mead.
+"""Simulated annealing and a hybrid VNS-SA search over a 3-d box.
 
 Generic over any objective f(theta) -> float; +inf marks an infeasible
 point that is never accepted.  The annealer follows the classic recipe:
@@ -8,9 +8,6 @@ that stops once the chain's value sequence has been flat for a window.
 The variable-neighborhood phase re-runs SA inside boxes of growing size
 centered on the incumbent; any strict improvement recenters and restarts
 from the smallest neighborhood.
-
-Nelder-Mead is the unconstrained simplex search that fits the profiled
-(eta, alpha) objective; the caller maps R^n onto its box.
 """
 
 from __future__ import annotations
@@ -35,8 +32,6 @@ __all__ = [
     "vns_neighborhood",
     "vns_sa",
     "multistart",
-    "NMResult",
-    "nelder_mead",
 ]
 
 # Proposal half-width at the initial temperature, as a fraction of each
@@ -51,13 +46,6 @@ _MAX_START_TRIES = 1000
 
 # Cap on the VNS local searches (SA runs) after phase 1.
 _MAX_LOCAL_SEARCHES = 200
-
-# Nelder-Mead stops once every vertex is within _NM_F_TOLERANCE of the best
-# one in f, or after _NM_MAX_ITER iterations.  Shrinking the simplex further
-# in x, once its values agree, moves the minimizer by far less than its
-# standard error and the value by less than the tolerance.
-_NM_F_TOLERANCE = 1e-10
-_NM_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -100,13 +88,6 @@ class SAResult:
     best: Candidate
     trace: list
     t_initial: float
-    stop_reason: str
-    n_evals: int
-
-
-@dataclass
-class NMResult:
-    best: Candidate
     stop_reason: str
     n_evals: int
 
@@ -383,74 +364,3 @@ def multistart(
         else:
             results.append(vns_sa(objective, box, sa_config, vns_config, stream))
     return min(results, key=lambda r: r.best.value)
-
-
-def _affine(base, c, step):
-    """base + c * step, per coordinate of two float tuples."""
-    return tuple([b + c * s for b, s in zip(base, step)])
-
-
-def nelder_mead(f, x0) -> NMResult:
-    """Minimize f over R^n by the Nelder-Mead simplex search.
-
-    Standard coefficients: reflection 1, expansion 2, contraction 1/2 and
-    shrink 1/2 (Nelder and Mead, Comput. J. 1965, in the form of Lagarias
-    et al., SIAM J. Optim. 1998).  The first simplex is x0 and x0 plus a
-    unit step along each axis.  stop_reason is "converged" when every
-    vertex is within 1e-10 of the best in f, else "max_iter" after 1000
-    iterations; the simplex is not shrunk further in x once its values
-    agree, so best.theta is located only as well as f resolves it.
-    Deterministic; f may return +inf, never NaN.
-
-    Points are tuples of Python floats, and f is called with one; on the
-    2-d profile search, numpy's per-call cost on 2-element arrays would
-    outweigh the arithmetic.  Each coordinate is computed by the same IEEE
-    operations, in the same order, as the numpy-vector form of the
-    algorithm, so the trajectory is the same.  best.theta is a tuple.
-    """
-    x0 = tuple(float(v) for v in x0)
-    n = len(x0)
-    simplex = [x0, *(tuple(v + (1.0 if j == i else 0.0) for j, v in enumerate(x0)) for i in range(n))]
-    values = [f(x) for x in simplex]
-    n_evals = len(simplex)
-    stop_reason = "max_iter"
-    for _ in range(_NM_MAX_ITER):
-        order = sorted(range(len(values)), key=values.__getitem__)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        best, worst = simplex[0], simplex[-1]
-        if values[-1] - values[0] <= _NM_F_TOLERANCE:
-            stop_reason = "converged"
-            break
-        centroid = []
-        for coords in zip(*simplex[:-1]):
-            # 0 + x_1 + ... + x_n, left to right, as the vector sum() does
-            total = 0.0
-            for v in coords:
-                total += v
-            centroid.append(total / n)
-        step = tuple(c - w for c, w in zip(centroid, worst))
-        reflected = _affine(centroid, 1.0, step)
-        f_r = f(reflected)
-        n_evals += 1
-        if f_r < values[0]:
-            expanded = _affine(centroid, 2.0, step)
-            f_e = f(expanded)
-            n_evals += 1
-            simplex[-1], values[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
-            continue
-        if f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
-            continue
-        outside = f_r < values[-1]
-        contracted = _affine(centroid, 0.5 if outside else -0.5, step)
-        f_c = f(contracted)
-        n_evals += 1
-        if (f_c <= f_r) if outside else (f_c < values[-1]):
-            simplex[-1], values[-1] = contracted, f_c
-            continue
-        simplex = [best, *(tuple([b + 0.5 * (v - b) for v, b in zip(x, best)]) for x in simplex[1:])]
-        values = [values[0], *(f(x) for x in simplex[1:])]
-        n_evals += len(simplex) - 1
-    i = min(range(len(values)), key=values.__getitem__)
-    return NMResult(best=Candidate(simplex[i], values[i]), stop_reason=stop_reason, n_evals=n_evals)

@@ -144,14 +144,14 @@ def test_fit_non_finite_row_exit_code(tmp_path, capsys, row):
 
 
 def test_fit_document_carries_the_max_iter_warning(tmp_path, monkeypatch):
-    monkeypatch.setattr("hubbertfit.optimize._NM_MAX_ITER", 20)
+    monkeypatch.setattr("hubbertfit.inference._MAX_ITER", 2)
     out = tmp_path / "fit.json"
     code = main(["fit", "--data", "norway", "--urr", str(datasets.NORWAY_URR), "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["stop_reason"] == "max_iter"
     assert doc["warnings"] == [
-        "the profile search stopped at the Nelder-Mead iteration cap without converging"
+        "the profile search stopped at its iteration cap without converging"
     ]
 
 

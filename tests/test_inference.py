@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 import hubbertfit as hf
-from hubbertfit import inference, optimize
+from hubbertfit import inference
 from hubbertfit.bounds import SolutionBox
 from hubbertfit.datasets import KAZAKHSTAN_URR, NORWAY_URR, load_kazakhstan, load_norway
 from hubbertfit.errors import ConditioningError, OrderingError, ParameterDomainError
 from hubbertfit.likelihood import SufficientStats
-from test_optimize import nelder_mead_vectors
 
 TABLES = Path(__file__).parent / "data" / "forecast_tables.csv"
 
@@ -456,7 +455,7 @@ def test_fit_sa_algorithm_not_better_than_hybrid():
 
 
 # ---------------------------------------------------------------------------
-# The default fit: Nelder-Mead on the sigma-profiled likelihood
+# The default fit: Fisher scoring on the sigma-profiled likelihood
 # ---------------------------------------------------------------------------
 
 
@@ -510,11 +509,11 @@ def test_fit_lands_within_1e6_nats_of_the_profiled_optimum(panel, urr):
 def test_profile_fit_warns_when_the_search_hits_max_iter(monkeypatch):
     converged = hf.fit(load_norway(), urr=NORWAY_URR)
     assert converged.stop_reason == "converged" and converged.warnings == []
-    monkeypatch.setattr("hubbertfit.optimize._NM_MAX_ITER", 20)
+    monkeypatch.setattr("hubbertfit.inference._MAX_ITER", 2)
     capped = hf.fit(load_norway(), urr=NORWAY_URR)
     assert capped.stop_reason == "max_iter"
     assert capped.warnings == [
-        "the profile search stopped at the Nelder-Mead iteration cap without converging"
+        "the profile search stopped at its iteration cap without converging"
     ]
 
 
@@ -550,57 +549,69 @@ def test_annealing_fit_warns_when_an_estimate_ends_at_the_box_edge(monkeypatch, 
     assert hf.fit(small_panel(), algorithm=algorithm, urr=5.0e4).warnings == ["eta, alpha" + AT_BOUND]
 
 
-def sweep_a_panel(i):
-    """Panel i of a 300-panel sweep drawn by default_rng(7) over the
-    parameter region where a single Nelder-Mead start from the box centre
-    was seen to stop far from the optimum."""
-    rng = np.random.default_rng(7)
+def sweep_panel(draw_seed, eta_hi, alpha_hi, n_times_range, seed_base, i):
+    """Panel i of a sweep of parameters drawn by default_rng(draw_seed)."""
+    rng = np.random.default_rng(draw_seed)
     for _ in range(i + 1):
-        eta, alpha, sigma = rng.uniform(0.02, 0.25), rng.uniform(0.2, 0.95), rng.uniform(0.02, 0.09)
+        eta, alpha, sigma = rng.uniform(0.02, eta_hi), rng.uniform(0.2, alpha_hi), rng.uniform(0.02, 0.09)
         d = int(rng.choice([1, 3, 10, 50]))
-        n_times = int(rng.integers(15, 52))
+        n_times = int(rng.integers(*n_times_range))
     p = hf.ProcessParams(eta, alpha, sigma, hf.InitialDistribution.degenerate(100.0))
-    return hf.simulate_paths(p, hf.PathGrid(np.arange(0.0, n_times)), d, 1000 + i)
+    return hf.simulate_paths(p, hf.PathGrid(np.arange(0.0, n_times)), d, seed_base + i)
 
 
-# From a single start at the box centre, panels 37, 93, 122, 201, 229, 232,
-# 248 and 273 end 1.5-635 nats above the oracle, 37 and 201 on the eta edge
-# with no warning; from the grid, 229 ends at alpha = 1, with the warning.
+def sweep_a_panel(i):
+    """Panel i of the 300-panel sweep A, over the parameter region where a
+    single Nelder-Mead start from the box centre was seen to stop far
+    from the optimum."""
+    return sweep_panel(7, 0.25, 0.95, (15, 52), 1000, i)
+
+
+def sweep_b_panel(i):
+    """Panel i of the 600-panel sweep B, which reaches further towards
+    alpha -> 1 and to shorter and longer series than sweep A."""
+    return sweep_panel(11, 0.26, 0.97, (12, 61), 2000, i)
+
+
+# Sweep A: from a single Nelder-Mead start at the box centre, panels 37, 93,
+# 122, 201, 229, 232, 248 and 273 ended 1.5-635 nats above the oracle, 37
+# and 201 on the eta edge with no warning; from the best of a 3x3 grid, 229
+# ended at alpha = 1, 500 nats above it, with the warning.  Sweep B: from
+# the grid, 123, 144 and 290 ended at alpha = 1, 1.3-719 nats above the
+# oracle, with the warning.  On 12, 110, 141, 425, 457 and 481, scoring that
+# clips each coordinate of its step to 4, instead of minimizing the model
+# within that bound, ends 0.0027-0.39 nats above the oracle, warned only on
+# 12 and 110.
 SWEEP_A_PANELS = [37, 93, 122, 201, 229, 232, 248, 273, *range(0, 300, 15)]
+SWEEP_B_PANELS = [12, 110, 123, 141, 144, 290, 425, 457, 481]
 
 
-@pytest.mark.parametrize("i", SWEEP_A_PANELS, ids=lambda i: f"i{i}")
-def test_fit_lands_at_the_profiled_optimum_or_warns(i):
-    panel = sweep_a_panel(i)
+@pytest.mark.parametrize(
+    "sweep, i",
+    [pytest.param(sweep_a_panel, i, id=f"i{i}") for i in SWEEP_A_PANELS]
+    + [pytest.param(sweep_b_panel, i, id=f"b{i}") for i in SWEEP_B_PANELS],
+)
+def test_fit_lands_at_the_profiled_optimum_or_warns(sweep, i):
+    # within 1e-6 nats of the oracle, or on an edge of the box, warned, and
+    # within 1e-4 nats of it
+    panel = sweep(i)
     fit = hf.fit(panel)
     shifted = panel.shifted(panel.t_first)
     best = load_oracle().profiled_optimum(hf, SufficientStats.from_panel(shifted), hf.build_box(shifted))
+    gap = fit.objective_value - best["value"]
     at_bound = any(w.endswith(AT_BOUND) for w in fit.warnings)
-    assert fit.objective_value - best["value"] <= 1e-6 or at_bound
+    assert gap <= 1e-6 or (at_bound and gap <= 1e-4)
 
 
-@pytest.mark.parametrize("panel, urr", [
-    pytest.param(lambda: reference_panel(1), None, id="ref-panel-seed1"),
-    pytest.param(lambda: reference_panel(2), None, id="ref-panel-seed2"),
-    pytest.param(lambda: reference_panel(3), None, id="ref-panel-seed3"),
-    pytest.param(load_norway, NORWAY_URR, id="norway-urr"),
-    pytest.param(load_kazakhstan, KAZAKHSTAN_URR, id="kazakhstan-urr"),
-])
-def test_profile_search_stops_at_the_objective_resolution(monkeypatch, panel, urr):
-    # going on to shrink the simplex to 1e-10 in each coordinate, once its
-    # values agree to 1e-10, costs evaluations and moves neither the optimum
-    # nor its value; the reference search starts where the library's does
-    panel = panel()
-    fit = hf.fit(panel, urr=urr)
+def test_profile_fit_evaluates_no_point_twice(monkeypatch):
+    # every counted evaluation calls likelihood.objective once, each at a new (eta, alpha)
+    points = []
+    objective = hf.likelihood.objective
 
-    def tight_search(f, x0):
-        theta, value, stop_reason, n_evals, _ = nelder_mead_vectors(f, x0, 1e-10, 1e-10)
-        return optimize.NMResult(optimize.Candidate(theta, value), stop_reason, n_evals)
+    def recorded(stats, eta, alpha, sigma_sq):
+        points.append((eta, alpha))
+        return objective(stats, eta, alpha, sigma_sq)
 
-    monkeypatch.setattr(optimize, "nelder_mead", tight_search)
-    tight = hf.fit(panel, urr=urr)
-    assert fit.stop_reason == tight.stop_reason == "converged"
-    assert fit.n_evals < tight.n_evals
-    assert abs(fit.objective_value - tight.objective_value) <= 1e-9
-    moved = np.abs(np.subtract(fit.theta_hat, tight.theta_hat)) / np.array(tight.std_errors)
-    assert np.all(moved <= 1e-4)
+    monkeypatch.setattr(hf.likelihood, "objective", recorded)
+    fit = hf.fit(load_norway(), urr=NORWAY_URR)
+    assert len(set(points)) == len(points) == fit.n_evals

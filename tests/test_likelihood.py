@@ -7,7 +7,7 @@ import pytest
 
 import hubbertfit as hf
 from hubbertfit import likelihood
-from hubbertfit.likelihood import INFEASIBLE, SufficientStats, profile_objective
+from hubbertfit.likelihood import INFEASIBLE, SufficientStats, profile_pass
 from hubbertfit.errors import OrderingError, ParameterDomainError
 
 
@@ -162,11 +162,20 @@ def test_profile_objective_is_the_minimum_over_sigma(eta, alpha, sigma_range, cl
     stats = SufficientStats.from_panel(simulated_panel(10))
     lo, hi = sigma_range
     eps = 1e-12 * (hi - lo)  # the margin of SolutionBox.clip_interior
-    value, sigma = profile_objective(stats, eta, alpha, (lo + eps, hi - eps))
+    interior = (lo + eps, hi - eps)
+    value, sigma, gradient, information = profile_pass(stats, eta, alpha, interior)
     assert value == hf.objective(stats, eta, alpha, sigma * sigma)
     assert lo + eps <= sigma <= hi - eps
     if clipped is not None:
         assert sigma == (hi - eps if clipped == "upper" else lo + eps)
+    # the gradient is the profiled value's, clipped sigma or not ...
+    for k, h in enumerate((1e-6 * eta, 1e-6 * alpha)):
+        up, down = (profile_pass(stats, eta + (k == 0) * d, alpha + (k == 1) * d, interior)[0] for d in (h, -h))
+        assert (up - down) / (2.0 * h) == pytest.approx(gradient[k], rel=1e-5)
+    # ... and the information the Schur complement of fisher_information's sigma^2 entry
+    fisher = hf.fisher_information((eta, alpha, sigma), stats)
+    schur = fisher[:2, :2] - np.outer(fisher[:2, 2], fisher[:2, 2]) / fisher[2, 2]
+    np.testing.assert_allclose(information, schur[[0, 0, 1], [0, 1, 1]], rtol=1e-12)
     numeric = minimize_scalar(
         lambda v: hf.objective(stats, eta, alpha, v),
         bounds=((lo + eps) ** 2, (hi - eps) ** 2),
@@ -278,7 +287,7 @@ def test_pair_sums_memo_never_returns_stale_sums():
     calls = [
         lambda s, eta, alpha: hf.objective(s, eta, alpha, 0.0025),
         lambda s, eta, alpha: hf.objective(s, eta, alpha, 0.004),
-        lambda s, eta, alpha: profile_objective(s, eta, alpha, sigma_range),
+        lambda s, eta, alpha: profile_pass(s, eta, alpha, sigma_range),
         lambda s, eta, alpha: hf.eta_alpha_sums(s, eta, alpha),
         lambda s, eta, alpha: hf.log_likelihood(s, 4.6, 0.0, eta, alpha, 0.0025),
     ]
@@ -300,9 +309,10 @@ def test_profile_objective_runs_the_kernel_once(monkeypatch):
         return np.add.reduce(a, *args, **kwargs)
 
     monkeypatch.setattr(likelihood, "_sum", counted)
-    value, sigma = profile_objective(stats, 0.11, 0.46, (1e-3, 0.5))
-    # one pass: Y1, Y2 and R in one row-wise reduction of the pair weights
-    assert reductions == [stats.pair_weights.shape]
+    value, sigma, _, _ = profile_pass(stats, 0.11, 0.46, (1e-3, 0.5))
+    # one pass: Y1, Y2, R, the information and the gradient sums in one
+    # row-wise reduction of ten rows of pair terms
+    assert reductions == [(10, stats.pair_count.size)]
     assert value == hf.objective(SufficientStats.from_panel(simulated_panel(23)), 0.11, 0.46, sigma * sigma)
 
 
