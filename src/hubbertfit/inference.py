@@ -1,12 +1,13 @@
 """End-to-end fitting and asymptotic uncertainty.
 
-The pipeline shifts all times so the panel starts at 0 (which rescales
-eta to eta' = alpha^(-first_time) * eta and keeps it well away from the
-underflow regime), estimates the initial-distribution parameters in
-closed form, builds the bounded search box, and minimizes the likelihood
-objective.  By default sigma^2 is profiled out in closed form and Fisher
-scoring searches (eta, alpha); the paper's simulated annealing and
-hybrid VNS-SA search over (eta, alpha, sigma) remain available.
+The pipeline moves the panel's summaries to a clock that starts at 0
+(which rescales eta to eta' = alpha^(-first_time) * eta and keeps it
+well away from the underflow regime), estimates the initial-distribution
+parameters in closed form, builds the bounded search box, and minimizes
+the likelihood objective.  By default sigma^2 is profiled out in closed
+form and Fisher scoring searches (eta, alpha); the paper's simulated
+annealing and hybrid VNS-SA search over (eta, alpha, sigma) remain
+available.
 
 Standard errors come from the Fisher information of the transition
 likelihood; errors of parametric functions (peak, peak time, forecast
@@ -412,9 +413,10 @@ def fit(
 ) -> FitResult:
     """Full estimation pipeline; deterministic for a fixed seed.
 
-    Times are shifted by k = first observation time, the box is built
-    from the shifted panel (with the optional URR), and the objective is
-    minimized over (eta, alpha, sigma) by the requested algorithm.
+    The panel's summaries are moved to the clock t - k, k = first time
+    (SufficientStats.shifted), the box is built from the panel and the
+    optional URR, and the objective is minimized over (eta, alpha, sigma)
+    by the requested algorithm.
 
     "profile" (the default) solves sigma^2 in closed form and runs
     deterministic Fisher scoring over (eta, alpha) from three points in
@@ -435,10 +437,9 @@ def fit(
             f"the profile algorithm is deterministic and takes no restarts, got n_restarts={n_restarts}"
         )
     k = data.t_first
-    shifted = data.shifted(k)
-    stats = SufficientStats.from_panel(shifted)
+    stats = SufficientStats.from_panel(data).shifted(k)
     mu1, sigma1_sq = lik.initial_mle(stats)
-    box = bounds_mod.build_box(shifted, urr=urr, sigma_cap=sigma_cap)
+    box = bounds_mod.build_box(data, urr=urr, sigma_cap=sigma_cap)
 
     if algorithm == "profile":
         theta, value, n_evals, stop_reason = _profile_search(stats, box)

@@ -16,7 +16,7 @@ instead of O(#transitions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,13 +44,11 @@ INFEASIBLE = math.inf
 _sum = np.add.reduce
 
 
-def _raise_path_error(i: int, t: np.ndarray, v: np.ndarray) -> None:
-    """Raise the error of path i, which fails at least one check."""
-    if not np.all(np.diff(t) > 0.0):
-        raise OrderingError(f"path {i}: times must be strictly increasing")
-    if not np.all(v > 0.0):
-        raise ParameterDomainError(f"path {i}: values must be positive")
-    raise ParameterDomainError(f"path {i}: times and values must be finite")
+def _frozen_copy(x) -> np.ndarray:
+    """A read-only float copy of x."""
+    a = np.array(x, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,9 @@ class PanelData:
 
     Times are finite and strictly increasing within each path, values
     finite and strictly positive, and every path starts at the same first
-    time (required for the shared initial distribution).
+    time (required for the shared initial distribution).  The arrays are
+    read-only copies of the caller's, so these checks, made once here,
+    hold for the panel's lifetime.
     """
 
     times: list
@@ -68,35 +68,19 @@ class PanelData:
     def __post_init__(self) -> None:
         if len(self.times) == 0 or len(self.times) != len(self.values):
             raise ParameterDomainError("need matching, nonempty time/value lists")
-        times = [np.asarray(t, dtype=float) for t in self.times]
-        values = [np.asarray(v, dtype=float) for v in self.values]
-        # The paths before the first misshapen one are checked at once; the
-        # first path that fails any check is reported, as a path-by-path
-        # scan would.
-        n_ok = next(
-            (
-                i
-                for i, (t, v) in enumerate(zip(times, values))
-                if t.shape != v.shape or t.ndim != 1 or t.size < 2
-            ),
-            len(times),
-        )
-        if n_ok:
-            t_all = np.concatenate(times[:n_ok])
-            v_all = np.concatenate(values[:n_ok])
-            ends = np.cumsum([t.size for t in times[:n_ok]])
-            rising = np.diff(t_all) > 0.0
-            rising[ends[:-1] - 1] = True  # the steps from one path to the next
-            ok = (v_all > 0.0) & np.isfinite(t_all) & np.isfinite(v_all)
-            ok[1:] &= rising
-            if not ok.all():
-                i = int(np.searchsorted(ends, ok.argmin(), side="right"))
-                _raise_path_error(i, times[i], values[i])
-        if n_ok < len(times):
-            raise ParameterDomainError(
-                f"path {n_ok}: times and values must be 1-d, equal length >= 2"
-            )
-        if np.any(t_all[ends[:-1]] != t_all[0]):
+        times = [_frozen_copy(t) for t in self.times]
+        values = [_frozen_copy(v) for v in self.values]
+        # the first fault in path order is raised
+        for i, (t, v) in enumerate(zip(times, values)):
+            if t.shape != v.shape or t.ndim != 1 or t.size < 2:
+                raise ParameterDomainError(f"path {i}: times and values must be 1-d, equal length >= 2")
+            if not (np.diff(t) > 0.0).all():
+                raise OrderingError(f"path {i}: times must be strictly increasing")
+            if not (v > 0.0).all():
+                raise ParameterDomainError(f"path {i}: values must be positive")
+            if not (np.isfinite(t).all() and np.isfinite(v).all()):
+                raise ParameterDomainError(f"path {i}: times and values must be finite")
+        if any(t[0] != times[0][0] for t in times):
             raise OrderingError("all paths must share the same first time")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
@@ -123,9 +107,7 @@ class PanelData:
 
     def shifted(self, k: float) -> "PanelData":
         """The same panel on shifted clocks t -> t - k."""
-        return PanelData(
-            times=[t - k for t in self.times], values=[v.copy() for v in self.values]
-        )
+        return PanelData(times=[t - k for t in self.times], values=self.values)
 
 
 @dataclass(frozen=True)
@@ -229,6 +211,10 @@ class SufficientStats:
                 + 0.5 * float(np.sum(np.log(dt_all)))
             ),
         )
+
+    def shifted(self, k: float) -> "SufficientStats":
+        """The same summaries on the shifted clock t -> t - k: only u_times depends on the clock."""
+        return replace(self, u_times=self.u_times - k)
 
     @property
     def n_transitions(self) -> int:

@@ -13,7 +13,8 @@ from the smallest neighborhood.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,6 +49,12 @@ _MAX_START_TRIES = 1000
 _MAX_LOCAL_SEARCHES = 200
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    """A count setting must be an integer (not a boolean) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ParameterDomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SAConfig:
     p0: float = 0.9
@@ -62,8 +69,8 @@ class SAConfig:
             raise ParameterDomainError(f"p0 must lie in (0, 1), got {self.p0}")
         if not 0.0 < self.gamma < 1.0:
             raise ParameterDomainError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.chain_length < 1 or self.init_probe_count < 2:
-            raise ParameterDomainError("chain_length >= 1 and init_probe_count >= 2")
+        for name, minimum in (("chain_length", 1), ("init_probe_count", 2), ("stall_window", 1)):
+            _check_count(name, getattr(self, name), minimum)
         if not self.t_final > 0.0:
             raise ParameterDomainError(f"t_final must be positive, got {self.t_final}")
 
@@ -73,8 +80,7 @@ class VNSConfig:
     k_max: int = 5
 
     def __post_init__(self) -> None:
-        if self.k_max < 1:
-            raise ParameterDomainError(f"k_max must be >= 1, got {self.k_max}")
+        _check_count("k_max", self.k_max, 1)
 
 
 @dataclass(frozen=True)
@@ -189,12 +195,13 @@ def metropolis_step(
     return current
 
 
-def _feasible_start(objective, box, rng) -> Candidate:
-    for _ in range(_MAX_START_TRIES):
+def _feasible_start(objective, box, rng) -> tuple[Candidate, int]:
+    """The first feasible uniform draw, and the number of draws it took."""
+    for n_draws in range(1, _MAX_START_TRIES + 1):
         theta = _uniform_point(box, rng)
         value = objective(theta)
         if math.isfinite(value):
-            return Candidate(theta, value)
+            return Candidate(theta, value), n_draws
     raise InitializationError("could not draw a feasible starting point in the box")
 
 
@@ -223,11 +230,10 @@ def simulated_annealing(
     if start is not None:
         theta0 = box.clip_interior(start)
         current = Candidate(theta0, objective(theta0))
-        if not math.isfinite(current.value):
-            current = _feasible_start(objective, box, rng)
-    else:
-        current = _feasible_start(objective, box, rng)
-    n_evals += 1
+        n_evals += 1
+    if start is None or not math.isfinite(current.value):
+        current, n_draws = _feasible_start(objective, box, rng)
+        n_evals += n_draws
     best = current
     trace = []
     recent = [current.value]
@@ -348,9 +354,10 @@ def multistart(
 ):
     """Best result over independent restarts with seed-derived substreams.
 
-    Deterministic for a fixed seed; restarts run sequentially but use
-    disjoint substreams, so the answer would not change under a parallel
-    schedule.
+    The result is the winning restart's, except that its n_evals is the
+    total over all restarts.  Deterministic for a fixed seed; restarts run
+    sequentially but use disjoint substreams, so the answer would not
+    change under a parallel schedule.
     """
     if n_restarts < 1:
         raise ParameterDomainError(f"n_restarts must be >= 1, got {n_restarts}")
@@ -363,4 +370,4 @@ def multistart(
             results.append(simulated_annealing(objective, box, sa_config, stream))
         else:
             results.append(vns_sa(objective, box, sa_config, vns_config, stream))
-    return min(results, key=lambda r: r.best.value)
+    return replace(min(results, key=lambda r: r.best.value), n_evals=sum(r.n_evals for r in results))

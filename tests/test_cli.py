@@ -264,6 +264,19 @@ def test_fit_config_value_type_exit_code(tmp_path, capsys):
         assert "must be" in captured.err
 
 
+@pytest.mark.parametrize("bad", [{"sa": {"stall_window": 0}}, {"sa": {"stall_window": -3}}])
+def test_fit_config_out_of_range_count_exits_1(tmp_path, capsys, bad):
+    # an integer of the right type but outside its domain is a domain error
+    data = simulate(tmp_path, extra=("--subsample",))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    capsys.readouterr()
+    assert main(["fit", "--data", str(data), "--config", str(path), "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stall_window must be an integer >= 1" in captured.err
+
+
 def test_fit_config_float_field_takes_integer(tmp_path, capsys):
     data = simulate(tmp_path, extra=("--subsample",))
     cfg = write_config(tmp_path, {"sa": {"chain_length": 10, "t_final": 50, "probe_count": 20}})

@@ -435,9 +435,47 @@ def test_fit_matches_shifted_fit():
     calendar = hf.PanelData(times=[t + 1980.0 for t in panel.times], values=panel.values)
     a = hf.fit(panel, seed=6, sa_config=FAST_SA)
     b = hf.fit(calendar, seed=6, sa_config=FAST_SA)
-    # same shifted panel internally, so identical estimates
+    # the same summaries on the shifted clock internally, so identical estimates
     assert a.theta_hat == b.theta_hat
     assert b.time_shift_k == 1980.0
+
+
+def test_fit_builds_no_panel(monkeypatch):
+    # fit summarises the caller's panel once and moves only the summaries' clock
+    panel = small_panel(4)
+    calendar = hf.PanelData(times=[t + 1980.0 for t in panel.times], values=panel.values)
+    checks = []
+    post_init = hf.PanelData.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(hf.PanelData, "__post_init__", counted)
+    for algorithm in ("profile", "sa"):
+        hf.fit(calendar, urr=5.0e4, seed=1, algorithm=algorithm, sa_config=FAST_SA)
+    assert checks == []
+
+
+@pytest.mark.parametrize("algorithm", ["sa", "vns-sa"])
+def test_fit_counts_the_evaluations_of_every_restart(monkeypatch, algorithm):
+    calls = []
+    objective = hf.likelihood.objective
+
+    def counted(stats, eta, alpha, sigma_sq):
+        calls.append(1)
+        return objective(stats, eta, alpha, sigma_sq)
+
+    panel = hf.simulate_paths(
+        hf.ProcessParams(eta=0.1, alpha=0.45, sigma=0.05, init=hf.InitialDistribution.degenerate(100.0)),
+        hf.PathGrid(np.arange(0.0, 21.0)), 5, 7,
+    )
+    monkeypatch.setattr(hf.likelihood, "objective", counted)
+    fit = hf.fit(
+        panel, seed=1, algorithm=algorithm, n_restarts=3,
+        sa_config=hf.SAConfig(chain_length=10, t_final=50.0, init_probe_count=20),
+    )
+    assert fit.n_evals == len(calls)
 
 
 def test_fit_respects_urr_box():

@@ -7,6 +7,7 @@ import pytest
 
 import hubbertfit as hf
 from hubbertfit import likelihood
+from hubbertfit.datasets import load_kazakhstan, load_norway
 from hubbertfit.likelihood import INFEASIBLE, SufficientStats, profile_pass
 from hubbertfit.errors import OrderingError, ParameterDomainError
 
@@ -250,7 +251,27 @@ def test_from_panel_equals_per_transition_construction(seed):
     panel = irregular_panel(seed)
     assert_same_bytes(SufficientStats.from_panel(panel), per_transition_stats(panel))
     shifted = panel.shifted(panel.t_first)
-    assert_same_bytes(SufficientStats.from_panel(shifted), per_transition_stats(shifted))
+    want = SufficientStats.from_panel(shifted)
+    assert_same_bytes(want, per_transition_stats(shifted))
+    # moving the clock of the summaries: fractional times agree to rounding,
+    # since the gaps are taken before the first time is subtracted
+    got = SufficientStats.from_panel(panel).shifted(panel.t_first)
+    for f in fields(SufficientStats):
+        np.testing.assert_allclose(getattr(got, f.name), getattr(want, f.name), rtol=1e-13, atol=0.0, err_msg=f.name)
+    assert got.u_times[0] == 0.0
+
+
+def calendar_panel():
+    panel = simulated_panel(24)
+    return hf.PanelData(times=[t + 1980.0 for t in panel.times], values=panel.values)
+
+
+@pytest.mark.parametrize("load", [load_norway, load_kazakhstan, calendar_panel])
+def test_shifted_stats_are_the_stats_of_the_shifted_panel(load):
+    # the summaries of a panel on whole-number times: bit for bit
+    panel = load()
+    k = panel.t_first
+    assert_same_bytes(SufficientStats.from_panel(panel).shifted(k), SufficientStats.from_panel(panel.shifted(k)))
 
 
 def test_from_panel_merges_repeated_pairs():
@@ -370,6 +391,20 @@ def test_panel_rejects_non_finite_data(times, values):
             times=[np.array([0.0, 1.0]), np.array(times)],
             values=[np.array([1.0, 1.0]), np.array(values)],
         )
+
+
+def test_validated_panel_cannot_change():
+    # the panel keeps read-only copies, so the check fit relies on cannot go stale
+    times, values = [np.array([0.0, 1.0, 2.0])], [np.array([1.0, 2.0, 3.0])]
+    panel = hf.PanelData(times=times, values=values)
+    times[0][1] = math.nan
+    values[0][1] = 0.0
+    assert panel.times[0].tolist() == [0.0, 1.0, 2.0]
+    assert panel.values[0].tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="read-only"):
+        panel.times[0][1] = math.nan
+    with pytest.raises(ValueError, match="read-only"):
+        panel.values[0][1] = 0.0
 
 
 def path_by_path_check(times, values):

@@ -177,6 +177,19 @@ def test_sa_start_override():
     assert np.all(np.abs(res.best.theta - CENTER) < 0.03)
 
 
+@pytest.mark.parametrize("start", [None, CENTER])
+def test_sa_counts_every_evaluation_of_its_start(start):
+    # CENTER is infeasible here, and most uniform draws are too
+    calls = []
+
+    def f(theta):
+        calls.append(1)
+        return math.inf if theta[0] < 0.2 else sphere(CENTER)(theta)
+
+    res = hf.simulated_annealing(f, BOX, hf.SAConfig(chain_length=5, t_final=1e-3), seed=3, start=start)
+    assert res.n_evals == len(calls)
+
+
 def test_vns_neighborhoods_nested_and_centered():
     theta0 = np.array([0.1, 0.45, 0.05])
     config = hf.VNSConfig(k_max=5)
@@ -234,3 +247,15 @@ def test_config_validation():
         hf.SAConfig(t_final=0.0)
     with pytest.raises(ParameterDomainError):
         hf.VNSConfig(k_max=0)
+    for bad in (0, -3, 2.0, True):
+        with pytest.raises(ParameterDomainError, match="stall_window"):
+            hf.SAConfig(stall_window=bad)
+    for name in ("chain_length", "init_probe_count"):
+        for bad in (10.5, 10.0, "10", False):
+            with pytest.raises(ParameterDomainError, match=name):
+                hf.SAConfig(**{name: bad})
+    for bad in (2.5, 2.0, None):
+        with pytest.raises(ParameterDomainError, match="k_max"):
+            hf.VNSConfig(k_max=bad)
+    # numpy integers are integers
+    assert hf.SAConfig(chain_length=np.int64(3), stall_window=np.int32(4)).stall_window == 4
