@@ -78,16 +78,21 @@ def _check_type(name: str, value, kind, nullable: bool = False) -> None:
         raise DataFormatError(f"config {name} must be {noun}, got {value!r}")
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in the UTF-8 file at path; what names the file in errors."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, nesting too deep
+        raise DataFormatError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as handle:
-            cfg = json.load(handle)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read config {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"config {path} is not valid JSON: {exc}") from None
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise DataFormatError(f"config {path} must be a JSON object")
     accepted = sorted([*_TOP_LEVEL, "sa", "vns"])
@@ -145,38 +150,46 @@ def _load_data(path: str) -> PanelData:
     return datasets.load_panel_csv(path)
 
 
+def _grid(start: float, stop: float, step: float, flags: tuple[str, str, str]) -> np.ndarray:
+    """start + i*step, i = 0..n, n = (stop - start)/step rounded half down; flags name the three."""
+    first, last, by = flags
+    if not 0.0 < step < math.inf:
+        raise DataFormatError(f"{by} must be positive and finite, got {step}")
+    if not -math.inf < start <= stop < math.inf:
+        raise DataFormatError(
+            f"{first} {start} and {last} {stop} must be finite, with {last} not before {first}"
+        )
+    try:
+        n = math.ceil((stop - start) / step - 0.5)
+        index = np.arange(n + 1)
+        if index.size != n + 1:  # numpy wraps counts near 2**63 to an empty range
+            raise ValueError
+    except (OverflowError, ValueError):
+        raise DataFormatError(
+            f"{first} {start}, {last} {stop} and {by} {step} give more points than numpy can index"
+        ) from None
+    return start + step * index
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_simulate(args) -> int:
-    if not 0.0 < args.step < math.inf:
-        raise DataFormatError(f"--step must be positive and finite, got {args.step}")
-    if not -math.inf < args.t0 < args.t_final < math.inf:
+    times = _grid(args.t0, args.t_final, args.step, ("--t0", "--t-final", "--step"))
+    if times.size < 2:
         raise DataFormatError(
-            f"--t0 {args.t0} and --t-final {args.t_final} must be finite, with --t-final after --t0"
-        )
-    n_steps = round((args.t_final - args.t0) / args.step)
-    if n_steps < 1:
-        raise DataFormatError(
-            f"--step {args.step} is longer than the window from --t0 {args.t0} to --t-final {args.t_final}"
+            f"--t0 {args.t0}, --t-final {args.t_final} and --step {args.step} give a one-point grid"
         )
     _check_seed(args.seed)
     init = InitialDistribution.degenerate(args.x0)
-    params = ProcessParams(
-        eta=args.eta, alpha=args.alpha, sigma=args.sigma, init=init, t0=args.t0
-    )
-    times = args.t0 + args.step * np.arange(n_steps + 1)
+    params = ProcessParams(eta=args.eta, alpha=args.alpha, sigma=args.sigma, init=init, t0=args.t0)
     panel = simulate_paths(params, PathGrid(times), args.n_paths, args.seed)
     if args.subsample:
-        keep = np.isclose(np.mod(panel.times[0] - args.t0, 1.0), 0.0) | np.isclose(
-            np.mod(panel.times[0] - args.t0, 1.0), 1.0
-        )
-        panel = PanelData(
-            times=[t[keep] for t in panel.times],
-            values=[v[keep] for v in panel.values],
-        )
+        offset = np.mod(times - args.t0, 1.0)
+        keep = np.isclose(offset, 0.0) | np.isclose(offset, 1.0)
+        panel = PanelData(times=[t[keep] for t in panel.times], values=[v[keep] for v in panel.values])
     datasets.write_panel_csv(args.out, panel)
     return 0
 
@@ -290,21 +303,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    if not 0.0 < args.step < math.inf:
-        raise DataFormatError(f"--step must be positive and finite, got {args.step}")
-    if not -math.inf < args.start <= args.stop < math.inf:
-        raise DataFormatError(
-            f"--from {args.start} and --to {args.stop} must be finite, with --to not before --from"
-        )
-    try:
-        with open(args.fit) as handle:
-            fit_doc = json.load(handle)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read fit file {args.fit}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"fit file {args.fit} is not valid JSON: {exc}") from None
-    fit = _read_fit(fit_doc, args.fit)
-    horizon = np.arange(args.start, args.stop + 0.5 * args.step, args.step)
+    horizon = _grid(args.start, args.stop, args.step, ("--from", "--to", "--step"))
+    fit = _read_fit(_read_json(args.fit, "fit file"), args.fit)
     result = inference.forecast(fit, args.s, args.x_s, horizon, level=args.level)
     rows = _round_floats(
         [list(row) for row in zip(result.times, result.point, result.lower, result.upper)],

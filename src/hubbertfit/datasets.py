@@ -16,6 +16,7 @@ under which the documented alpha bounds hold for these exact numbers.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from importlib import resources
 
@@ -60,40 +61,47 @@ def _parse_row(row: list, line_no: int) -> tuple[str, float, float]:
 def load_panel_csv(source) -> PanelData:
     """Read a `path_id,time,value` CSV into a panel.
 
-    source is a file path or an open text handle.  Errors carry the
-    1-based line number of the offending row.
+    source is a file path (read as UTF-8 and named in errors) or an open
+    text handle.  Errors carry the 1-based line number of the offending row.
     """
     if hasattr(source, "read"):
         return _load_handle(source)
     try:
-        with open(source, newline="") as handle:
-            return _load_handle(handle)
+        with open(source, "rb") as handle:
+            raw = handle.read()
+        # decoded whole, so a bad byte's offset gives its line
+        return _load_handle(io.StringIO(raw.decode("utf-8"), newline=""))
     except OSError as exc:
         raise DataFormatError(f"cannot read {source}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{source}: line {line_no}: not UTF-8 text ({exc.reason})") from None
+    except DataFormatError as exc:
+        raise DataFormatError(f"{source}: {exc}") from None
 
 
 def _load_handle(handle) -> PanelData:
     reader = csv.reader(handle)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("empty file") from None
-    if [c.strip().lower() for c in header] != ["path_id", "time", "value"]:
-        raise DataFormatError(
-            f"line 1: expected header 'path_id,time,value', got {','.join(header)!r}"
-        )
     by_path: dict[str, tuple[list, list]] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        path_id, t, v = _parse_row(row, line_no)
-        times, values = by_path.setdefault(path_id, ([], []))
-        if times and not t > times[-1]:
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError("empty file")
+        if [c.strip().lower() for c in header] != ["path_id", "time", "value"]:
             raise DataFormatError(
-                f"line {line_no}: time {t} does not increase within path {path_id!r}"
+                f"line 1: expected header 'path_id,time,value', got {','.join(header)!r}"
             )
-        times.append(t)
-        values.append(v)
+        for row in filter(None, reader):  # skip blank lines
+            path_id, t, v = _parse_row(row, reader.line_num)
+            times, values = by_path.setdefault(path_id, ([], []))
+            if times and not t > times[-1]:
+                raise DataFormatError(
+                    f"line {reader.line_num}: time {t} does not increase within path {path_id!r}"
+                )
+            times.append(t)
+            values.append(v)
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise DataFormatError(f"line {reader.line_num}: {exc}") from None
     if not by_path:
         raise DataFormatError("no data rows")
     return PanelData(
@@ -113,9 +121,7 @@ def write_panel_csv(path, data: PanelData) -> None:
 
 
 def _load_bundled(name: str) -> PanelData:
-    ref = resources.files("hubbertfit.data").joinpath(name)
-    with ref.open("r", newline="") as handle:
-        return _load_handle(handle)
+    return load_panel_csv(resources.files("hubbertfit.data") / name)
 
 
 def load_norway(last_year: int | None = None) -> PanelData:

@@ -359,8 +359,7 @@ def multistart(
     sequentially but use disjoint substreams, so the answer would not
     change under a parallel schedule.
     """
-    if n_restarts < 1:
-        raise ParameterDomainError(f"n_restarts must be >= 1, got {n_restarts}")
+    _check_count("n_restarts", n_restarts, 1)
     if algorithm not in ("sa", "vns-sa"):
         raise ParameterDomainError(f"unknown algorithm {algorithm!r}")
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

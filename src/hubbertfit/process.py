@@ -23,6 +23,7 @@ import numpy as np
 from .curve import CurveParams, _check_eta_alpha, _log_mean, hubbert_value
 from .errors import OrderingError, ParameterDomainError
 from .likelihood import PanelData
+from .optimize import _check_count
 
 __all__ = [
     "InitialDistribution",
@@ -170,8 +171,7 @@ def simulate_paths(
     reproducible panel.  X(t0) is drawn once per path before the increment
     loop; with sigma = 0 every path equals the deterministic curve.
     """
-    if n_paths < 1:
-        raise ParameterDomainError(f"n_paths must be >= 1, got {n_paths}")
+    _check_count("n_paths", n_paths, 1)
     if grid.t0 != p.t0:
         raise OrderingError(
             f"grid starts at {grid.t0} but the process t0 is {p.t0}"

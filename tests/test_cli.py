@@ -97,6 +97,10 @@ def test_simulate_round_trip_lossless(tmp_path):
     ("--t-final", "inf"),
     ("--t0=-inf",),
     ("--step", "100"),  # longer than the window: a one-point grid
+    ("--step", "1e-300"),  # more points than numpy can index
+    ("--step", "5e-324"),  # the point count overflows to infinity
+    ("--t0=-1e308", "--t-final", "1e308"),  # so does the window
+    ("--t-final", "9223372036854775808", "--step", "1"),  # numpy would wrap to an empty range
 ])
 def test_simulate_bad_grid_exit_code(tmp_path, capsys, grid):
     out = tmp_path / "never.csv"
@@ -393,6 +397,8 @@ def forecast_args(fit_path, *extra):
     ("--from", "21", "--to", "inf"),
     ("--from", "nan", "--to", "25"),
     ("--from", "21", "--to", "25", "--step", "inf"),
+    ("--from", "21", "--to", "25", "--step", "1e-300"),
+    ("--from", "0", "--to", "9223372036854775808"),
 ])
 def test_forecast_bad_horizon_exit_code(fit_file, capsys, horizon):
     capsys.readouterr()
@@ -400,6 +406,56 @@ def test_forecast_bad_horizon_exit_code(fit_file, capsys, horizon):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--step" in captured.err or "--to" in captured.err
+
+
+def test_grid_tie_rounds_down(tmp_path, fit_file, capsys):
+    # (stop - start)/step = k + 1/2 keeps k steps, for odd k as for even
+    out = tmp_path / "tie.csv"
+    for t_final, n_points in (("1.5", 2), ("2.5", 3)):
+        assert main(["simulate", "--eta", "0.1", "--alpha", "0.45", "--sigma", "0.05",
+                     "--t-final", t_final, "--step", "1", "--n-paths", "1", "--out", str(out)]) == 0
+        assert datasets.load_panel_csv(out).times[0].tolist() == list(range(n_points))
+    capsys.readouterr()
+    assert main(forecast_args(fit_file, "--from", "21", "--to", "22.5")) == 0
+    assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]] == ["21.0", "22.0"]
+
+
+def test_forecast_grid_is_start_plus_i_step(fit_file, capsys):
+    capsys.readouterr()
+    assert main(forecast_args(fit_file, "--from", "21", "--to", "22", "--step", "0.1")) == 0
+    years = [float(row.split(",")[0]) for row in capsys.readouterr().out.splitlines()[1:]]
+    assert years == [21.0 + 0.1 * i for i in range(11)] and years[-1] == 22.0
+
+
+_UNREADABLE = {
+    "non-utf8": b"\xff\xfe{}",
+    "deep": b"[" * 100_000,
+    "long-field": b"path_id,time,value\n0,0,1\n0,1," + b"1" * 200_000 + b"\n",  # over csv's 131072
+}
+
+
+@pytest.mark.parametrize("argv, kind", [
+    pytest.param(argv, kind, id=f"{argv[0]}{argv[-1]}-{kind}")
+    for argv, kinds in [
+        (["fit", "--data", "norway", "--config"], ("non-utf8", "directory", "deep")),
+        (["bounds", "--data", "norway", "--config"], ("non-utf8", "directory", "deep")),
+        (["forecast", "--s", "20", "--x-s", "100", "--from", "21", "--to", "25", "--fit"],
+         ("non-utf8", "directory", "deep")),
+        (["fit", "--data"], ("non-utf8", "directory", "long-field")),
+        (["bounds", "--data"], ("non-utf8", "directory", "long-field")),
+    ]
+    for kind in kinds
+])
+def test_unreadable_input_file_exit_code(tmp_path, capsys, monkeypatch, argv, kind):
+    monkeypatch.setattr(hf.inference, "fit", _fit_must_not_run)
+    path = tmp_path
+    if kind != "directory":
+        path = tmp_path / "input"
+        path.write_bytes(_UNREADABLE[kind])
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err
 
 
 def test_fit_document_round_trip():

@@ -72,6 +72,17 @@ def test_parse_rejects_non_finite_fields(row):
         parse(f"path_id,time,value\n0,0,1.0\n0,1,2.0\n{row}\n")
 
 
+@pytest.mark.parametrize("body, message", [
+    (b"0,0,1\n0,1,2\n0,2,\xff3\n", "line 4: not UTF-8"),
+    (b"0,0,1\n0,1," + b"1" * 200_000 + b"\n", "line 3: field larger than field limit"),
+], ids=["non-utf8", "oversized-field"])
+def test_undecodable_file_cites_path_and_line(tmp_path, body, message):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"path_id,time,value\n" + body)
+    with pytest.raises(DataFormatError, match=f"panel.csv: {message}"):
+        datasets.load_panel_csv(path)
+
+
 def test_missing_file():
     with pytest.raises(DataFormatError, match="no_such"):
         datasets.load_panel_csv("/tmp/no_such_panel.csv")

@@ -234,8 +234,9 @@ def test_multistart_algorithm_choice():
     assert isinstance(res, hf.optimize.SAResult) if hasattr(hf, "optimize") else True
     with pytest.raises(ParameterDomainError):
         hf.multistart(sphere(CENTER), BOX, seed=0, algorithm="nope")
-    with pytest.raises(ParameterDomainError):
-        hf.multistart(sphere(CENTER), BOX, seed=0, n_restarts=0)
+    for bad in (0, 2.0, True):
+        with pytest.raises(ParameterDomainError, match="n_restarts"):
+            hf.multistart(sphere(CENTER), BOX, seed=0, n_restarts=bad)
 
 
 def test_config_validation():

@@ -183,6 +183,10 @@ def test_param_validation():
         hf.transition_logpdf(1.0, 2.0, 1.0, 1.0, hf.ProcessParams(0.1, 0.45, 0.0, PP.init))
     with pytest.raises(OrderingError):
         hf.transition_logpdf(1.0, 1.0, 1.0, 2.0, PP)
+    grid = hf.PathGrid(np.array([0.0, 1.0]))
+    for bad in (0, 2.5, True):
+        with pytest.raises(ParameterDomainError, match="n_paths"):
+            hf.simulate_paths(PP, grid, bad, seed=0)
 
 
 def test_hubbert_value_is_conditional_mean_bit_for_bit():
