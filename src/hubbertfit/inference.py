@@ -53,7 +53,6 @@ _AT_BOUND = 1e-6
 
 # The profile search's settings; see _profile_search.
 _MAX_ITER = 100
-_MAX_STEP = 4.0
 _DECREMENT = 2e-10
 _ARMIJO = 1e-4
 
@@ -298,83 +297,82 @@ def forecast(
     )
 
 
-def _scoring_step(gradient, information):
-    """The minimizer of the model g.s + s.M.s/2 over the box |s_i| <= _MAX_STEP.
+def _projected_step(x, gradient, information, lower, upper):
+    """The scoring step -M_FF^-1 g_F over the free coordinates F of x.
 
-    That is -M^-1 g if it lies in the box, else the best point of the
-    box's edges; clipping the coordinates of -M^-1 g instead ends short
-    of the optimum on some panels whose eta saturates.  Where a diagonal
-    entry of M is not positive (the logit Jacobian can underflow far out
-    on an edge), the linear model's minimizer.
+    A coordinate on a bound of [lower, upper] is held there (its step is 0)
+    while its gradient or its step points out of the box.  Where M_FF is
+    not positive definite (as on a panel of one transition), the step is
+    the minimizer of the linear model over a box of the widths.
     """
-    (g0, g1), (m00, m01, m11), r = gradient, information, _MAX_STEP
-    if not (m00 > 0.0 and m11 > 0.0):
-        return -math.copysign(r, g0), -math.copysign(r, g1)
-    det = m00 * m11 - m01 * m01
-    if det > 0.0:
-        s0, s1 = (m01 * g1 - m11 * g0) / det, (m01 * g0 - m00 * g1) / det
-        if abs(s0) <= r and abs(s1) <= r:
-            return s0, s1
-    edges = [(c, min(max(-(g1 + m01 * c) / m11, -r), r)) for c in (-r, r)]
-    edges += [(min(max(-(g0 + m01 * c) / m00, -r), r), c) for c in (-r, r)]
-    return min(
-        edges, key=lambda s: s[0] * (g0 + 0.5 * m00 * s[0] + m01 * s[1]) + s[1] * (g1 + 0.5 * m11 * s[1])
-    )
+    (g0, g1), (m00, m01, m11) = gradient, information
+    # -1 on the lower bound, 1 on the upper, 0 inside: e * s > 0 points s out of the box
+    edge = [(v >= hi) - (v <= lo) for v, lo, hi in zip(x, lower, upper)]
+    held = [e * g < 0.0 for e, g in zip(edge, gradient)]
+    while True:
+        # M with the rows and columns of the held coordinates set to the identity's
+        d0, d1 = (1.0 if held[0] else m00), (1.0 if held[1] else m11)
+        c = 0.0 if held[0] or held[1] else m01
+        det = d0 * d1 - c * c
+        if d0 > 0.0 and det > 0.0:
+            step = ((c * g1 - d1 * g0) / det, (c * g0 - d0 * g1) / det)
+        else:
+            step = [-math.copysign(hi - lo, g) for g, lo, hi in zip(gradient, lower, upper)]
+        step = (0.0 if held[0] else step[0], 0.0 if held[1] else step[1])
+        out = [e * s > 0.0 for e, s in zip(edge, step)]
+        if not any(out):
+            return step
+        held = [h or o for h, o in zip(held, out)]
 
 
 def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
-    """Safeguarded Fisher scoring over (eta, alpha) on the profiled objective.
+    """Projected Fisher scoring over (eta, alpha) on the profiled objective.
 
-    u in R^2 maps to the box by a logistic per coordinate (tanh, which
-    cannot overflow), clipped to box.interior.  Each evaluation is one
-    lik.profile_pass; the logit Jacobian maps its gradient and
-    information to u.  A _scoring_step is halved until the Armijo rule
-    holds.  A start stops "converged" once the decrement -g.step of the
-    step it would take is at most _DECREMENT, "max_iter" after _MAX_ITER
-    steps.  Of the starts u = (0, -2), (0, 0), (0, 2), the best end wins
-    (the earlier on a tie): one start can end on an edge, where the
-    logistic flattens the objective.  Returns theta, its objective value,
-    the evaluations made and the stop reason.
+    The search runs on the (eta, alpha) entries of box.interior; each
+    evaluation is one lik.profile_pass, kept by its point, so no point is
+    evaluated twice.  A _projected_step (Bertsekas 1982) is clipped to
+    the box and halved until the Armijo rule
+    f(x(t)) <= f(x) + _ARMIJO g.(x(t) - x) holds.  A start stops
+    "converged" once the decrement -g.step of the step it would take is
+    at most _DECREMENT, which bounds the gradient of the free
+    coordinates (the held ones sit on a bound, gradient or step pointing
+    out of the box), and "max_iter" after _MAX_ITER steps.  Of the starts
+    with eta at mid-range and alpha at 12 %, 50 % and 88 % of its range,
+    the best end wins (the earlier on a tie).  Returns theta, its
+    objective value, the points evaluated and the stop reason.
     """
-    lower, widths = box.lower[:2].tolist(), box.widths[:2].tolist()
-    inner_lo, inner_hi = (b.tolist() for b in box.interior)
-    sigma_interior = inner_lo[2], inner_hi[2]
-    n_evals = 0
+    (*lo, sigma_lo), (*hi, sigma_hi) = (b.tolist() for b in box.interior)
+    (eta_lo, alpha_lo, _), (eta_w, alpha_w, _) = box.lower.tolist(), box.widths.tolist()
+    passes = {}
 
-    def evaluate(u):
-        nonlocal n_evals
-        n_evals += 1
-        theta, jac = [], []
-        for v, lo, w, a, b in zip(u, lower, widths, inner_lo, inner_hi):
-            theta.append(min(max(lo + w * 0.5 * (1.0 + math.tanh(0.5 * v)), a), b))
-            e = math.exp(-abs(v))
-            jac.append(w * e / (1.0 + e) ** 2)
-        value, sigma, (g_eta, g_alpha), (m_ee, m_ea, m_aa) = lik.profile_pass(stats, *theta, sigma_interior)
-        j_eta, j_alpha = jac
-        grad = (j_eta * g_eta, j_alpha * g_alpha)
-        step = _scoring_step(grad, (j_eta * j_eta * m_ee, j_eta * j_alpha * m_ea, j_alpha * j_alpha * m_aa))
-        return value, (*theta, sigma), grad, step
+    def evaluate(x):
+        if x not in passes:
+            passes[x] = lik.profile_pass(stats, *x, (sigma_lo, sigma_hi))
+        return passes[x]
 
     ends = []
-    for u in ((0.0, -2.0), (0.0, 0.0), (0.0, 2.0)):
-        value, theta, grad, step = evaluate(u)
+    for share in (0.12, 0.5, 0.88):
+        x = (eta_lo + 0.5 * eta_w, alpha_lo + share * alpha_w)
+        value, sigma, grad, info = evaluate(x)
         stop_reason = "max_iter"
         for _ in range(_MAX_ITER):
+            step = _projected_step(x, grad, info, lo, hi)
             decrement = -(grad[0] * step[0] + grad[1] * step[1])
             t = 1.0
             while t * decrement > _DECREMENT:
-                trial_u = (u[0] + t * step[0], u[1] + t * step[1])
-                trial = evaluate(trial_u)
-                if trial[0] <= value - _ARMIJO * t * decrement:
+                trial_x = (min(max(x[0] + t * step[0], lo[0]), hi[0]), min(max(x[1] + t * step[1], lo[1]), hi[1]))
+                trial = evaluate(trial_x)
+                slope = grad[0] * (trial_x[0] - x[0]) + grad[1] * (trial_x[1] - x[1])
+                if trial[0] <= value + _ARMIJO * slope:
                     break
                 t *= 0.5
             else:
                 stop_reason = "converged"
                 break
-            u, (value, theta, grad, step) = trial_u, trial
-        ends.append((value, theta, stop_reason))
+            x, (value, sigma, grad, info) = trial_x, trial
+        ends.append((value, (*x, sigma), stop_reason))
     value, theta, stop_reason = min(ends, key=lambda end: end[0])
-    return theta, value, n_evals, stop_reason
+    return theta, value, len(passes), stop_reason
 
 
 def _annealing_search(stats, box, sa_config, vns_config, seed, n_restarts, algorithm):
@@ -419,10 +417,10 @@ def fit(
     by the requested algorithm.
 
     "profile" (the default) solves sigma^2 in closed form and runs
-    deterministic Fisher scoring over (eta, alpha) from three points in
-    the box, keeping the best end point (see _profile_search); it records
-    seed but does not use it, ignores sa_config and vns_config, and takes
-    only n_restarts = 1.
+    deterministic projected Fisher scoring over the (eta, alpha) box from
+    three points in it, keeping the best end point (see _profile_search);
+    it records seed but does not use it, ignores sa_config and vns_config,
+    and takes only n_restarts = 1.
     "sa" and "vns-sa" are the paper's annealing searches over all three
     parameters, best of n_restarts.
 
@@ -432,6 +430,7 @@ def fit(
     box and the asymptotic errors, which assume an interior optimum, do
     not hold.
     """
+    opt._check_count("n_restarts", n_restarts, 1)
     if algorithm == "profile" and n_restarts != 1:
         raise ParameterDomainError(
             f"the profile algorithm is deterministic and takes no restarts, got n_restarts={n_restarts}"

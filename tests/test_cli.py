@@ -148,7 +148,7 @@ def test_fit_non_finite_row_exit_code(tmp_path, capsys, row):
 
 
 def test_fit_document_carries_the_max_iter_warning(tmp_path, monkeypatch):
-    monkeypatch.setattr("hubbertfit.inference._MAX_ITER", 2)
+    monkeypatch.setattr("hubbertfit.inference._MAX_ITER", 4)
     out = tmp_path / "fit.json"
     code = main(["fit", "--data", "norway", "--urr", str(datasets.NORWAY_URR), "--out", str(out)])
     assert code == 0

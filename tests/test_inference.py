@@ -509,6 +509,10 @@ def test_profile_fit_is_deterministic_and_ignores_the_annealer_settings():
     assert a.objective_value == hf.objective(stats, eta, alpha, sigma**2)
     with pytest.raises(ParameterDomainError, match="restarts"):
         hf.fit(panel, n_restarts=2)
+    # the count check comes first: no boolean, float or string passes as 1
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ParameterDomainError, match=f"n_restarts must be an integer >= 1, got {bad!r}"):
+            hf.fit(panel, n_restarts=bad)
 
 
 def load_oracle():
@@ -518,6 +522,17 @@ def load_oracle():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def profiled_gap(panel, urr=None):
+    """The default fit of panel, and its objective minus the oracle's.
+
+    The oracle searches the summaries and the box that fit builds.
+    """
+    fit = hf.fit(panel, urr=urr)
+    stats = SufficientStats.from_panel(panel).shifted(panel.t_first)
+    best = load_oracle().profiled_optimum(hf, stats, hf.build_box(panel, urr=urr))
+    return fit, fit.objective_value - best["value"]
 
 
 def reference_panel(seed):
@@ -535,11 +550,8 @@ def reference_panel(seed):
     pytest.param(load_kazakhstan, KAZAKHSTAN_URR, id="kazakhstan-urr"),
 ])
 def test_fit_lands_within_1e6_nats_of_the_profiled_optimum(panel, urr):
-    panel = panel()
-    fit = hf.fit(panel, urr=urr)
-    shifted = panel.shifted(panel.t_first)
-    best = load_oracle().profiled_optimum(hf, SufficientStats.from_panel(shifted), hf.build_box(shifted, urr=urr))
-    assert abs(fit.objective_value - best["value"]) <= 1e-6
+    fit, gap = profiled_gap(panel(), urr)
+    assert abs(gap) <= 1e-6
     # an interior optimum carries no at-bound warning
     assert fit.warnings == []
 
@@ -547,7 +559,9 @@ def test_fit_lands_within_1e6_nats_of_the_profiled_optimum(panel, urr):
 def test_profile_fit_warns_when_the_search_hits_max_iter(monkeypatch):
     converged = hf.fit(load_norway(), urr=NORWAY_URR)
     assert converged.stop_reason == "converged" and converged.warnings == []
-    monkeypatch.setattr("hubbertfit.inference._MAX_ITER", 2)
+    # within 3 steps a start reaches Norway's alpha cap, which would add the
+    # at-bound warning; by 4 the best end has left it
+    monkeypatch.setattr("hubbertfit.inference._MAX_ITER", 4)
     capped = hf.fit(load_norway(), urr=NORWAY_URR)
     assert capped.stop_reason == "max_iter"
     assert capped.warnings == [
@@ -572,6 +586,15 @@ def test_fit_warns_when_an_estimate_ends_at_the_box_edge():
     clipped = hf.fit(small_panel(), sigma_cap=0.02)
     assert clipped.theta_hat[2] == clipped.box.interior[1][2]
     assert clipped.warnings == ["sigma" + AT_BOUND]
+
+
+@pytest.mark.parametrize("urr", [None, 1.0e4])
+def test_profile_fit_of_one_transition_ends_in_the_box(urr):
+    # one transition leaves the information singular: the search steps by
+    # its linear model, and fit reports the singular matrix, not an error
+    fit = hf.fit(hf.PanelData([np.array([0.0, 1.0])], [np.array([100.0, 120.0])]), urr=urr)
+    assert fit.box.contains(fit.theta_hat)
+    assert fit.warnings[-1].startswith("information matrix is numerically singular")
 
 
 @pytest.mark.parametrize("algorithm", ["sa", "vns-sa"])
@@ -632,13 +655,35 @@ SWEEP_B_PANELS = [12, 110, 123, 141, 144, 290, 425, 457, 481]
 def test_fit_lands_at_the_profiled_optimum_or_warns(sweep, i):
     # within 1e-6 nats of the oracle, or on an edge of the box, warned, and
     # within 1e-4 nats of it
-    panel = sweep(i)
-    fit = hf.fit(panel)
-    shifted = panel.shifted(panel.t_first)
-    best = load_oracle().profiled_optimum(hf, SufficientStats.from_panel(shifted), hf.build_box(shifted))
-    gap = fit.objective_value - best["value"]
+    fit, gap = profiled_gap(sweep(i))
     at_bound = any(w.endswith(AT_BOUND) for w in fit.warnings)
     assert gap <= 1e-6 or (at_bound and gap <= 1e-4)
+
+
+def oil_like_panel(theta, first_value, n_times, rep):
+    """Path rep of a draw of single annual paths simulated at a series' fit theta."""
+    p = hf.ProcessParams(*theta, hf.InitialDistribution.degenerate(first_value))
+    return hf.simulate_paths(p, hf.PathGrid(np.arange(0.0, n_times)), 1, 90_000 + rep)
+
+
+def test_profile_fit_reaches_the_optimum_on_the_alpha_cap():
+    # a Norway-like path whose optimum lies on the alpha cap, with sigma
+    # clipped and eta near 0, the slowest fit of its draw
+    panel = oil_like_panel((0.04701192517461065, 0.8685462344775473, 0.060428466307565154), 528.0, 35, 361)
+    fit, gap = profiled_gap(panel, NORWAY_URR)
+    assert gap <= 1e-6
+    assert fit.theta_hat[1] == fit.box.interior[1][1]
+    assert "alpha, sigma" + AT_BOUND in fit.warnings
+
+
+def test_profile_fit_ends_exactly_on_the_eta_edge():
+    # a Kazakhstan-like path whose optimum lies on the eta edge: the search
+    # ends on the bound itself, in a finite number of steps
+    panel = oil_like_panel((0.02499720391198517, 0.9418322949455143, 0.07310822630052384), 530.0, 23, 3)
+    fit = hf.fit(panel, urr=KAZAKHSTAN_URR)
+    assert fit.stop_reason == "converged"
+    assert fit.theta_hat[0] == fit.box.interior[0][0]
+    assert fit.warnings == ["eta" + AT_BOUND]
 
 
 def test_profile_fit_evaluates_no_point_twice(monkeypatch):
