@@ -72,8 +72,12 @@ def fisher_information(theta, data) -> np.ndarray:
     if not sigma > 0.0:
         raise ParameterDomainError(f"sigma must be positive, got {sigma}")
     stats = lik._as_stats(data)
+    return _fisher(stats, lik._derivative_sums(stats, eta, alpha), alpha, sigma)
+
+
+def _fisher(stats: SufficientStats, sums: list, alpha: float, sigma: float) -> np.ndarray:
+    """The Fisher information in (eta, alpha, sigma^2) from the sums of a derivative pass at (eta, alpha)."""
     sigma_sq = sigma * sigma
-    sums = lik._derivative_sums(stats, eta, alpha)
     return np.array(lik._information(stats, sums, alpha, sigma_sq)) / sigma_sq
 
 
@@ -302,8 +306,8 @@ def _projected_step(x, gradient, information, lower, upper):
 
     A coordinate on a bound of [lower, upper] is held there (its step is 0)
     while its gradient or its step points out of the box.  Where M_FF is
-    not positive definite (as on a panel of one transition), the step is
-    the minimizer of the linear model over a box of the widths.
+    not numerically positive definite, the step is the minimizer of the
+    linear model over a box of the widths.
     """
     (g0, g1), (m00, m01, m11) = gradient, information
     # -1 on the lower bound, 1 on the upper, 0 inside: e * s > 0 points s out of the box
@@ -339,7 +343,8 @@ def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
     out of the box), and "max_iter" after _MAX_ITER steps.  Of the starts
     with eta at mid-range and alpha at 12 %, 50 % and 88 % of its range,
     the best end wins (the earlier on a tie).  Returns theta, its
-    objective value, the points evaluated and the stop reason.
+    objective value, the points evaluated, the stop reason and the sums
+    of theta's derivative pass, from which _fisher gives its information.
     """
     (*lo, sigma_lo), (*hi, sigma_hi) = (b.tolist() for b in box.interior)
     (eta_lo, alpha_lo, _), (eta_w, alpha_w, _) = box.lower.tolist(), box.widths.tolist()
@@ -353,7 +358,7 @@ def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
     ends = []
     for share in (0.12, 0.5, 0.88):
         x = (eta_lo + 0.5 * eta_w, alpha_lo + share * alpha_w)
-        value, sigma, grad, info = evaluate(x)
+        value, sigma, grad, info, sums = evaluate(x)
         stop_reason = "max_iter"
         for _ in range(_MAX_ITER):
             step = _projected_step(x, grad, info, lo, hi)
@@ -369,10 +374,10 @@ def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
             else:
                 stop_reason = "converged"
                 break
-            x, (value, sigma, grad, info) = trial_x, trial
-        ends.append((value, (*x, sigma), stop_reason))
-    value, theta, stop_reason = min(ends, key=lambda end: end[0])
-    return theta, value, len(passes), stop_reason
+            x, (value, sigma, grad, info, sums) = trial_x, trial
+        ends.append((value, (*x, sigma), stop_reason, sums))
+    value, theta, stop_reason, sums = min(ends, key=lambda end: end[0])
+    return theta, value, len(passes), stop_reason, sums
 
 
 def _annealing_search(stats, box, sa_config, vns_config, seed, n_restarts, algorithm):
@@ -424,6 +429,10 @@ def fit(
     "sa" and "vns-sa" are the paper's annealing searches over all three
     parameters, best of n_restarts.
 
+    A panel with fewer than two distinct transition pairs (t_{j-1}, t_j)
+    is refused with ParameterDomainError: one pair fixes only one
+    combination of eta and alpha, so any estimate would be arbitrary.
+
     For every algorithm, warnings names each parameter of theta_hat that
     lies within 1e-6 of its box width from an edge of the box (a sigma
     clipped to the box included): there the optimum may lie outside the
@@ -437,15 +446,22 @@ def fit(
         )
     k = data.t_first
     stats = SufficientStats.from_panel(data).shifted(k)
+    if stats.pair_count.size < 2:
+        raise ParameterDomainError(
+            "the panel has one distinct transition pair (t_{j-1}, t_j), which "
+            "identifies only one combination of eta and alpha; at least two are needed"
+        )
     mu1, sigma1_sq = lik.initial_mle(stats)
     box = bounds_mod.build_box(data, urr=urr, sigma_cap=sigma_cap)
 
     if algorithm == "profile":
-        theta, value, n_evals, stop_reason = _profile_search(stats, box)
+        theta, value, n_evals, stop_reason, sums = _profile_search(stats, box)
+        info = _fisher(stats, sums, theta[1], theta[2])
     else:
         theta, value, n_evals, stop_reason = _annealing_search(
             stats, box, sa_config, vns_config, seed, n_restarts, algorithm
         )
+        info = fisher_information(theta, stats)
     eta_hat, alpha_hat, sigma_hat = theta
 
     warnings = []
@@ -461,7 +477,6 @@ def fit(
             "the search box; the optimum may lie outside the box, and the "
             "standard errors assume an interior one"
         )
-    info = fisher_information((eta_hat, alpha_hat, sigma_hat), stats)
     try:
         cov = asymptotic_cov(info, sigma_hat)
     except ConditioningError as exc:

@@ -10,7 +10,11 @@ objective evaluations a fit performs.
 Transitions with identical (t_{j-1}, t_j) pairs, which dominate when all
 paths share one grid, are aggregated: each unique pair stores its count
 and the summed log-increments, making one objective call O(#unique times)
-instead of O(#transitions).
+instead of O(#transitions).  A panel whose paths share one grid (a
+single series, a simulated panel) is summarised from that grid without
+sorting; any other panel sorts its times and pairs.  The two ways reduce
+the same elements in the same order, so their summaries agree bit for
+bit (see SufficientStats.from_panel).
 """
 
 from __future__ import annotations
@@ -161,12 +165,29 @@ class SufficientStats:
 
     @classmethod
     def from_panel(cls, data: PanelData) -> "SufficientStats":
+        """The summaries of a panel.
+
+        A panel whose paths share one time grid (every single path does)
+        is summarised from the grid and the (d, n) matrix of its values:
+        the grid is u_times and its consecutive points are the pairs, each
+        seen d times.  Every other panel sorts its times and its pairs.
+        Both ways make the same floating-point reductions over the same
+        elements in the same order (z1 and the offset's sums over the
+        transitions in path order, pair_usum by sequential sums over the
+        paths in path order), so they give the same bytes.
+        """
         sizes = [t.size for t in data.times]
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
         times = np.concatenate(data.times)
         values = np.concatenate(data.values)
         log_v = np.log(values)
+        d, n = len(sizes), sizes[0]
+        if sizes.count(n) == d:
+            # bitwise, so a path at -0.0 where another is at 0.0 is sorted
+            rows = times.reshape(d, n).view(np.int64)
+            if (rows == rows[0]).all():
+                return cls._from_grid(times[:n], values.reshape(d, n), log_v.reshape(d, n))
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
         within = np.ones(times.size - 1, dtype=bool)
         within[ends[:-1] - 1] = False  # drop the steps from one path to the next
         s_all = times[:-1][within]
@@ -209,6 +230,36 @@ class SufficientStats:
                 0.5 * s_all.size * math.log(2.0 * math.pi)
                 + float(log_v_rest)
                 + 0.5 * float(np.sum(np.log(dt_all)))
+            ),
+        )
+
+    @classmethod
+    def _from_grid(cls, grid: np.ndarray, values: np.ndarray, log_v: np.ndarray) -> "SufficientStats":
+        """from_panel's summaries of d paths on one grid of n times, from (d, n) values and their logs."""
+        d, n = values.shape
+        u = np.diff(log_v, axis=1)
+        dt = np.diff(grid)
+        span = float(grid[-1] - grid[0])
+        return cls(
+            # flat and C-ordered, these are the sort path's transitions in path order
+            z1=float(np.sum((u**2 / dt).ravel())),
+            z2=float(sum([span] * d)),
+            z3=float(sum(map(math.log, (values[:, -1] / values[:, 0]).tolist()))),
+            n_obs=d * n,
+            d=d,
+            u_times=grid.copy(),
+            pair_lo=np.arange(n - 1),
+            pair_hi=np.arange(1, n),
+            pair_inv_dt=1.0 / dt,
+            pair_count=np.full(n - 1, float(d)),
+            # accumulate adds the paths one by one, as bincount does; a
+            # reduce over one column would add them pairwise
+            pair_usum=np.add.accumulate(u, axis=0)[-1].copy(),
+            log_x_first=log_v[:, 0].copy(),
+            log_lik_offset=(
+                0.5 * (d * (n - 1)) * math.log(2.0 * math.pi)
+                + float(sum(_sum(log_v[:, 1:], axis=1).tolist()))
+                + 0.5 * float(np.sum(np.tile(np.log(dt), d)))
             ),
         )
 
@@ -399,13 +450,15 @@ def profile_pass(
 ) -> tuple:
     """The sigma-profiled objective at (eta, alpha), from one derivative pass.
 
-    Returns (value, sigma, gradient, information): the minimum over sigma
-    of the objective, its minimizer, the profiled objective's
+    Returns (value, sigma, gradient, information, sums): the minimum over
+    sigma of the objective, its minimizer, the profiled objective's
     (d/d eta, d/d alpha), which by the envelope theorem is the
-    objective's at that fixed sigma, and its information, the (ee, ea, aa)
+    objective's at that fixed sigma, its information, the (ee, ea, aa)
     entries of the Schur complement of the sigma^2 entry of the Fisher
-    information.  sigma_interior is the closed (lower, upper) interval the
-    minimizer is clipped to: the sigma entries of SolutionBox.interior.
+    information, and the pass's _derivative_sums, from which _information
+    gives the whole Fisher information at (eta, alpha, sigma).
+    sigma_interior is the closed (lower, upper) interval the minimizer is
+    clipped to: the sigma entries of SolutionBox.interior.
 
     With v = sigma^2 the objective is (n/2) ln v + C0/(2v) + C1/2 + z2 v/8,
     n = N - d and C0 the bracket at drift ln(alpha); it falls before its
@@ -435,4 +488,4 @@ def profile_pass(
     (i_ee, i_ea, i_ev), (_, i_aa, i_av), (_, _, i_vv) = _information(stats, sums, alpha, sigma_sq)
     e_v, a_v = i_ev / i_vv, i_av / i_vv
     information = ((i_ee - i_ev * e_v) / sigma_sq, (i_ea - i_ev * a_v) / sigma_sq, (i_aa - i_av * a_v) / sigma_sq)
-    return value, sigma, gradient, information
+    return value, sigma, gradient, information, sums

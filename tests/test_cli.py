@@ -147,6 +147,19 @@ def test_fit_non_finite_row_exit_code(tmp_path, capsys, row):
     assert "line 5" in capsys.readouterr().err
 
 
+def test_fit_of_one_transition_pair_exits_1(tmp_path, capsys):
+    # five paths seen only at times 0 and 1 give one pair, too few for (eta, alpha)
+    data = tmp_path / "pair.csv"
+    data.write_text("path_id,time,value\n" + "".join(f"{i},0,100\n{i},1,{110 + i}\n" for i in range(5)))
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(data), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "one distinct transition pair" in captured.err
+
+
 def test_fit_document_carries_the_max_iter_warning(tmp_path, monkeypatch):
     monkeypatch.setattr("hubbertfit.inference._MAX_ITER", 4)
     out = tmp_path / "fit.json"
@@ -507,9 +520,7 @@ def test_unexpected_error_propagates(monkeypatch):
 def test_fit_singular_information_exits_1(tmp_path, capsys, monkeypatch):
     # a singular Fisher matrix leaves the fit with NaN cov, so the peak
     # block of the fit document has no standard errors to report
-    monkeypatch.setattr(
-        "hubbertfit.inference.fisher_information", lambda theta, data: np.ones((3, 3))
-    )
+    monkeypatch.setattr("hubbertfit.inference._fisher", lambda stats, sums, alpha, sigma: np.ones((3, 3)))
     data = simulate(tmp_path, extra=("--subsample",))
     out = tmp_path / "fit.json"
     code = main(["fit", "--data", str(data), "--config", write_config(tmp_path),

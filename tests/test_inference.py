@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import hubbertfit as hf
-from hubbertfit import inference
+from hubbertfit import inference, likelihood
 from hubbertfit.bounds import SolutionBox
 from hubbertfit.datasets import KAZAKHSTAN_URR, NORWAY_URR, load_kazakhstan, load_norway
 from hubbertfit.errors import ConditioningError, OrderingError, ParameterDomainError
@@ -589,12 +590,36 @@ def test_fit_warns_when_an_estimate_ends_at_the_box_edge():
 
 
 @pytest.mark.parametrize("urr", [None, 1.0e4])
-def test_profile_fit_of_one_transition_ends_in_the_box(urr):
-    # one transition leaves the information singular: the search steps by
-    # its linear model, and fit reports the singular matrix, not an error
-    fit = hf.fit(hf.PanelData([np.array([0.0, 1.0])], [np.array([100.0, 120.0])]), urr=urr)
+def test_fit_refuses_a_panel_of_one_transition_pair(urr):
+    # one (t_{j-1}, t_j) pair fixes only one combination of (eta, alpha):
+    # one path of two observations, or five paths seen at times 0 and 1
+    one_pair = [
+        hf.PanelData([np.array([0.0, 1.0])], [np.array([100.0, 120.0])]),
+        hf.PanelData([np.array([0.0, 1.0])] * 5, [np.array([100.0, 110.0 + i]) for i in range(5)]),
+    ]
+    for panel, algorithm in itertools.product(one_pair, ("profile", "sa")):
+        with pytest.raises(ParameterDomainError, match="one distinct transition pair"):
+            hf.fit(panel, urr=urr, algorithm=algorithm)
+    # two pairs identify (eta, alpha): one path of three observations is fitted
+    fit = hf.fit(hf.PanelData([np.array([0.0, 1.0, 2.0])], [np.array([100.0, 120.0, 130.0])]), urr=urr)
     assert fit.box.contains(fit.theta_hat)
-    assert fit.warnings[-1].startswith("information matrix is numerically singular")
+
+
+def test_profile_fit_takes_its_fisher_matrix_from_the_search(monkeypatch):
+    # every derivative pass of a profile fit is one of its n_evals points;
+    # the Fisher matrix at theta_hat comes from the pass that evaluated it
+    calls, derivative_sums = [], likelihood._derivative_sums
+
+    def counted(stats, eta, alpha):
+        calls.append((eta, alpha))
+        return derivative_sums(stats, eta, alpha)
+
+    monkeypatch.setattr(likelihood, "_derivative_sums", counted)
+    fit = hf.fit(small_panel())
+    assert len(calls) == fit.n_evals
+    panel = small_panel()
+    stats = SufficientStats.from_panel(panel).shifted(panel.t_first)
+    np.testing.assert_array_equal(fit.fisher, hf.fisher_information(fit.theta_hat, stats))
 
 
 @pytest.mark.parametrize("algorithm", ["sa", "vns-sa"])

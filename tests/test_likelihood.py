@@ -164,7 +164,7 @@ def test_profile_objective_is_the_minimum_over_sigma(eta, alpha, sigma_range, cl
     lo, hi = sigma_range
     eps = 1e-12 * (hi - lo)  # the margin of SolutionBox.clip_interior
     interior = (lo + eps, hi - eps)
-    value, sigma, gradient, information = profile_pass(stats, eta, alpha, interior)
+    value, sigma, gradient, information, _ = profile_pass(stats, eta, alpha, interior)
     assert value == hf.objective(stats, eta, alpha, sigma * sigma)
     assert lo + eps <= sigma <= hi - eps
     if clipped is not None:
@@ -261,6 +261,50 @@ def test_from_panel_equals_per_transition_construction(seed):
     assert got.u_times[0] == 0.0
 
 
+def shared_grid_panel(case):
+    """Paths on one grid: the reference protocol (50 x 51) at several seeds,
+    a fractional grid, 500 paths (over one pair too), calendar years, one path."""
+    ref = hf.ProcessParams(eta=0.1, alpha=0.45, sigma=0.05, init=hf.InitialDistribution.degenerate(100.0))
+    spread = hf.ProcessParams(eta=0.1, alpha=0.45, sigma=0.05, init=hf.InitialDistribution(math.log(100.0), 0.01))
+    if case.startswith("ref-"):
+        return hf.simulate_paths(ref, hf.PathGrid(np.arange(0.0, 51.0)), 50, int(case[4:]))
+    if case == "fractional":
+        return hf.simulate_paths(spread, hf.PathGrid(0.1 * np.arange(0.0, 51.0)), 20, 5)
+    if case == "d500":
+        return hf.simulate_paths(spread, hf.PathGrid(np.arange(0.0, 8.0)), 500, 6)
+    if case == "d500-one-pair":
+        # summed pairwise, as by np.add.reduce over the paths, this pair's
+        # increments would differ from their sequential sum in the last bit
+        return hf.simulate_paths(spread, hf.PathGrid(np.array([0.0, 1.0])), 500, 1)
+    if case == "calendar":
+        panel = hf.simulate_paths(spread, hf.PathGrid(np.arange(0.0, 35.0)), 10, 8)
+        return hf.PanelData(times=[t + 1980.0 for t in panel.times], values=panel.values)
+    if case == "d1":
+        return hf.simulate_paths(ref, hf.PathGrid(np.arange(0.0, 51.0)), 1, 9)
+    return {"norway": load_norway, "kazakhstan": load_kazakhstan}[case]()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["ref-1", "ref-2", "ref-3", "ref-7", "fractional", "d500", "d500-one-pair", "calendar", "d1", "norway", "kazakhstan"],
+)
+def test_from_panel_of_a_shared_grid_equals_per_transition_construction(monkeypatch, case):
+    # these panels are summarised from their grid, without sorting, and
+    # give the bytes of the transition-by-transition construction
+    from_grid = SufficientStats._from_grid.__func__
+    grid_calls = []
+
+    def counted(cls, *args):
+        grid_calls.append(args[0].size)
+        return from_grid(cls, *args)
+
+    monkeypatch.setattr(SufficientStats, "_from_grid", classmethod(counted))
+    panel = shared_grid_panel(case)
+    for p in (panel, panel.shifted(panel.t_first)):
+        assert_same_bytes(SufficientStats.from_panel(p), per_transition_stats(p))
+    assert grid_calls == [panel.times[0].size] * 2
+
+
 def calendar_panel():
     panel = simulated_panel(24)
     return hf.PanelData(times=[t + 1980.0 for t in panel.times], values=panel.values)
@@ -330,7 +374,7 @@ def test_profile_objective_runs_the_kernel_once(monkeypatch):
         return np.add.reduce(a, *args, **kwargs)
 
     monkeypatch.setattr(likelihood, "_sum", counted)
-    value, sigma, _, _ = profile_pass(stats, 0.11, 0.46, (1e-3, 0.5))
+    value, sigma, _, _, _ = profile_pass(stats, 0.11, 0.46, (1e-3, 0.5))
     # one pass: Y1, Y2, R, the information and the gradient sums in one
     # row-wise reduction of ten rows of pair terms
     assert reductions == [(10, stats.pair_count.size)]
