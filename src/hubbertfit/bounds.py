@@ -68,13 +68,19 @@ class SolutionBox:
         return np.clip(np.asarray(theta, dtype=float), *self.interior)
 
 
+def _check_urr(urr: float) -> None:
+    if not 0.0 < urr < math.inf:
+        raise ParameterDomainError(f"urr must be positive and finite, got {urr}")
+
+
 def alpha1(x0: float, urr: float) -> float:
     """alpha cap from requiring the curve's total area to reach the given URR.
 
     alpha1 = exp(-4 * x0 / URR).
     """
-    if not x0 > 0.0 or not urr > 0.0:
-        raise ParameterDomainError("x0 and urr must be positive")
+    _check_urr(urr)
+    if not x0 > 0.0:
+        raise ParameterDomainError(f"x0 must be positive, got {x0}")
     return math.exp(-4.0 * x0 / urr)
 
 
@@ -87,8 +93,9 @@ def alpha2(c: float, urr: float, t0: float, tF: float) -> float:
     """
     if not tF > t0:
         raise OrderingError(f"require tF > t0, got t0={t0}, tF={tF}")
-    if not c > 0.0 or not urr > 0.0:
-        raise ParameterDomainError("c and urr must be positive")
+    _check_urr(urr)
+    if not c > 0.0:
+        raise ParameterDomainError(f"c must be positive, got {c}")
     if c >= urr:
         raise InfeasibleRegionError(
             f"cumulative production {c:.6g} >= urr {urr:.6g}; "

@@ -40,9 +40,9 @@ _SAME_NAME = (
     "mu1_hat", "sigma1_sq_hat", "log_likelihood", "n_obs", "algorithm",
     "n_restarts", "seed", "stop_reason", "n_evals", "warnings",
 )
-# Top-level config keys: (type, may be null); "sa" and "vns" are blocks.
-_TOP_LEVEL = {"urr": (float, True), "seed": (int, True), "restarts": (int, False),
-              "sigma_cap": (float, False)}
+# Top-level config keys: (type, may be null, default); "sa" and "vns" are blocks.
+_TOP_LEVEL = {"urr": (float, True, None), "seed": (int, True, None), "restarts": (int, False, 1),
+              "sigma_cap": (float, False, bounds_mod.SIGMA_UPPER_DEFAULT)}
 
 
 def _round_floats(obj, digits):
@@ -101,10 +101,28 @@ def _load_config(path: str | None) -> dict:
         raise DataFormatError(
             f"unknown config key(s) {', '.join(unknown)}; accepted: {', '.join(accepted)}"
         )
-    for key, (kind, nullable) in _TOP_LEVEL.items():
+    for key, (kind, nullable, _) in _TOP_LEVEL.items():
         if key in cfg:
             _check_type(key, cfg[key], kind, nullable)
     return cfg
+
+
+def _settings(args, keys: tuple) -> dict:
+    """The run's settings, which are also its config echo: the --config file's keys, plus keys.
+
+    Each of keys takes its flag's value if the flag is given, otherwise the
+    config file's, otherwise its default; a key that resolves to None is
+    left out unless the file gives it.
+    """
+    cfg = _load_config(args.config)
+    resolved = dict(cfg)
+    for key in keys:
+        value = getattr(args, key, None)
+        if value is None:
+            value = cfg.get(key, _TOP_LEVEL[key][2])
+        if value is not None:
+            resolved[key] = value
+    return resolved
 
 
 def _config_block(cfg: dict, block: str, cls, file_keys: dict):
@@ -133,14 +151,6 @@ def _check_seed(seed) -> None:
     """numpy takes only non-negative seeds; refuse others before any work."""
     if seed is not None and seed < 0:
         raise DataFormatError(f"seed must be a non-negative integer, got {seed}")
-
-
-def _resolved(cfg: dict, **overrides) -> dict:
-    merged = dict(cfg)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    return merged
 
 
 def _load_data(path: str) -> PanelData:
@@ -195,18 +205,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = _load_config(args.config)
-    urr = args.urr if args.urr is not None else cfg.get("urr")
-    sigma_cap = cfg.get("sigma_cap", bounds_mod.SIGMA_UPPER_DEFAULT)
+    settings = _settings(args, ("urr", "sigma_cap"))
+    urr = settings.get("urr")
     data = _load_data(args.data)
-    box = bounds_mod.build_box(data, urr=urr, sigma_cap=sigma_cap)
+    box = bounds_mod.build_box(data, urr=urr, sigma_cap=settings["sigma_cap"])
     doc = {
         "schema_version": SCHEMA_VERSION,
         "eta_upper": box.eta_range[1],
         "alpha_star": box.alpha_range[1],
         "sigma_upper": box.sigma_range[1],
         "fallback": urr is None,
-        "config": _resolved(cfg, urr=urr, sigma_cap=sigma_cap),
+        "config": settings,
     }
     if urr is None:
         doc["note"] = "no URR supplied; alpha bounded only by 1"
@@ -280,25 +289,22 @@ def cmd_fit(args) -> int:
         raise errors.ParameterDomainError(f"--peak-x must be positive and finite, got {args.peak_x}")
     if args.peak_s is not None and not math.isfinite(args.peak_s):
         raise errors.ParameterDomainError(f"--peak-s must be finite, got {args.peak_s}")
-    cfg = _load_config(args.config)
-    urr = args.urr if args.urr is not None else cfg.get("urr")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    _check_seed(seed)
-    restarts = args.restarts if args.restarts is not None else cfg.get("restarts", 1)
+    settings = _settings(args, ("urr", "seed", "restarts", "sigma_cap"))
+    _check_seed(settings.get("seed"))
     data = _load_data(args.data)
     fit = inference.fit(
         data,
-        urr=urr,
-        sa_config=_config_block(cfg, "sa", opt.SAConfig, {"init_probe_count": "probe_count"}),
-        vns_config=_config_block(cfg, "vns", opt.VNSConfig, {}),
-        seed=seed,
-        n_restarts=restarts,
+        urr=settings.get("urr"),
+        sa_config=_config_block(settings, "sa", opt.SAConfig, {"init_probe_count": "probe_count"}),
+        vns_config=_config_block(settings, "vns", opt.VNSConfig, {}),
+        seed=settings.get("seed"),
+        n_restarts=settings["restarts"],
         algorithm=args.algorithm,
-        sigma_cap=cfg.get("sigma_cap", bounds_mod.SIGMA_UPPER_DEFAULT),
+        sigma_cap=settings["sigma_cap"],
     )
     peak_args = None if args.peak_x is None else (args.peak_x, args.peak_s)
-    resolved = _resolved(cfg, urr=urr, seed=seed, restarts=restarts, algorithm=args.algorithm)
-    _emit_json(_fit_document(fit, resolved, peak_args), args.out, args.digits)
+    settings["algorithm"] = args.algorithm
+    _emit_json(_fit_document(fit, settings, peak_args), args.out, args.digits)
     return 0
 
 
@@ -326,6 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hubbert diffusion process: simulation, bounds, fitting, forecasts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by bounds and fit, and the output flags shared with forecast
+    data_flags = argparse.ArgumentParser(add_help=False)
+    data_flags.add_argument("--data", required=True, help="panel CSV path, or 'norway' / 'kazakhstan'")
+    data_flags.add_argument("--config")
+    data_flags.add_argument("--urr", type=float)
+    out_flags = argparse.ArgumentParser(add_help=False)
+    out_flags.add_argument("--out")
+    out_flags.add_argument("--digits", type=int)
 
     sim = sub.add_parser("simulate", help="draw sample paths to a CSV panel")
     sim.add_argument("--eta", type=float, required=True)
@@ -342,34 +356,24 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 
-    bnd = sub.add_parser("bounds", help="report the (eta, alpha, sigma) search box")
-    bnd.add_argument("--data", required=True,
-                     help="panel CSV path, or 'norway' / 'kazakhstan'")
-    bnd.add_argument("--config", default=None)
-    bnd.add_argument("--urr", type=float, default=None)
-    bnd.add_argument("--out", default=None)
-    bnd.add_argument("--digits", type=int, default=None)
+    bnd = sub.add_parser("bounds", parents=[data_flags, out_flags],
+                         help="report the (eta, alpha, sigma) search box")
     bnd.set_defaults(func=cmd_bounds)
 
-    fit_p = sub.add_parser("fit", help="maximum-likelihood fit (profiled likelihood, SA or VNS-SA)")
-    fit_p.add_argument("--data", required=True,
-                       help="panel CSV path, or 'norway' / 'kazakhstan'")
-    fit_p.add_argument("--config", default=None)
-    fit_p.add_argument("--urr", type=float, default=None)
-    fit_p.add_argument("--seed", type=int, default=None)
+    fit_p = sub.add_parser("fit", parents=[data_flags, out_flags],
+                           help="maximum-likelihood fit (profiled likelihood, SA or VNS-SA)")
+    fit_p.add_argument("--seed", type=int)
     fit_p.add_argument("--algorithm", choices=("profile", "sa", "vns-sa"), default="profile",
                        help="profile: Fisher scoring on the sigma-profiled likelihood (deterministic); "
                        "sa, vns-sa: the paper's seeded annealing searches")
-    fit_p.add_argument("--restarts", type=int, default=None)
-    fit_p.add_argument("--peak-x", type=float, default=None,
+    fit_p.add_argument("--restarts", type=int)
+    fit_p.add_argument("--peak-x", type=float,
                        help="conditioning production value for the peak estimate")
-    fit_p.add_argument("--peak-s", type=float, default=None,
+    fit_p.add_argument("--peak-s", type=float,
                        help="conditioning time for the peak estimate")
-    fit_p.add_argument("--out", default=None)
-    fit_p.add_argument("--digits", type=int, default=None)
     fit_p.set_defaults(func=cmd_fit)
 
-    fc = sub.add_parser("forecast", help="conditional-mean forecast with bands")
+    fc = sub.add_parser("forecast", parents=[out_flags], help="conditional-mean forecast with bands")
     fc.add_argument("--fit", required=True, help="JSON produced by the fit command")
     fc.add_argument("--s", type=float, required=True)
     fc.add_argument("--x-s", type=float, required=True)
@@ -377,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     fc.add_argument("--to", dest="stop", type=float, required=True)
     fc.add_argument("--step", type=float, default=1.0)
     fc.add_argument("--level", type=float, default=0.95)
-    fc.add_argument("--out", default=None)
-    fc.add_argument("--digits", type=int, default=None)
     fc.set_defaults(func=cmd_forecast)
     return parser
 

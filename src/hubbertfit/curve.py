@@ -73,13 +73,10 @@ class CurveParams:
 
     def __post_init__(self) -> None:
         _check_eta_alpha(self.eta, self.alpha)
-        if not self.x0 > 0.0:
-            raise ParameterDomainError(f"x0 must be positive, got {self.x0}")
-
-    @property
-    def peak_after_start(self) -> bool:
-        """True iff the maximum occurs strictly after t0 (eta < alpha^t0)."""
-        return self.eta < alpha_pow(self.alpha, self.t0)
+        if not 0.0 < self.x0 < math.inf:
+            raise ParameterDomainError(f"x0 must be positive and finite, got {self.x0}")
+        if not math.isfinite(self.t0):
+            raise ParameterDomainError(f"t0 must be finite, got {self.t0}")
 
 
 def logistic_value(t, k: float, eta: float, alpha: float):
@@ -135,7 +132,8 @@ def shift_parameters(eta: float, alpha: float, k: float) -> float:
 
     peak_time(eta', alpha) = peak_time(eta, alpha) - k, and the peak value
     is unchanged when t0 is shifted alongside.  Used to keep eta well away
-    from zero when times are large calendar values.
+    from zero when times are large calendar values.  Where alpha^(-k)
+    overflows the result is inf, with numpy's overflow warning.
     """
     _check_eta_alpha(eta, alpha)
-    return eta * math.exp(-k * math.log(alpha))
+    return eta * alpha_pow(alpha, -k)

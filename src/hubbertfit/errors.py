@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count rule that raises one."""
+
+import numbers
 
 
 class ParameterDomainError(ValueError):
@@ -23,3 +25,9 @@ class ConditioningError(RuntimeError):
 
 class InitializationError(RuntimeError):
     """The annealer could not find a single feasible point while probing the box."""
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """A count setting must be an integer (not a boolean) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ParameterDomainError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -25,10 +25,10 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import likelihood as lik
 from . import optimize as opt
-from .curve import CurveParams, _check_eta_alpha, alpha_pow, peak_time, peak_value
-from .errors import ConditioningError, OrderingError, ParameterDomainError
+from .curve import CurveParams, _check_eta_alpha, alpha_pow, peak_time, peak_value, shift_parameters
+from .errors import ConditioningError, OrderingError, ParameterDomainError, _check_count
 from .likelihood import PanelData, SufficientStats
-from .process import conditional_mean
+from .process import InitialDistribution, conditional_mean
 
 __all__ = [
     "FitResult",
@@ -189,11 +189,11 @@ class FitResult:
     def eta_unshifted(self) -> float:
         """eta on the original clock: alpha^k * eta'."""
         eta, alpha, _ = self.theta_hat
-        return eta * alpha_pow(alpha, self.time_shift_k)
+        return shift_parameters(eta, alpha, -self.time_shift_k)
 
     @property
     def initial_mean(self) -> float:
-        return math.exp(self.mu1_hat + 0.5 * self.sigma1_sq_hat)
+        return InitialDistribution(self.mu1_hat, self.sigma1_sq_hat).mean
 
 
 @dataclass
@@ -439,7 +439,7 @@ def fit(
     box and the asymptotic errors, which assume an interior optimum, do
     not hold.
     """
-    opt._check_count("n_restarts", n_restarts, 1)
+    _check_count("n_restarts", n_restarts, 1)
     if algorithm == "profile" and n_restarts != 1:
         raise ParameterDomainError(
             f"the profile algorithm is deterministic and takes no restarts, got n_restarts={n_restarts}"

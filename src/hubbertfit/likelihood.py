@@ -288,6 +288,14 @@ def initial_mle(data) -> tuple[float, float]:
     return mu1, sigma1_sq
 
 
+def _check_initial(mu: float, sigma_sq: float) -> None:
+    """The rule for the lognormal initial law N(mu, sigma_sq) of ln X(t0)."""
+    if not math.isfinite(mu):
+        raise ParameterDomainError(f"the initial log-mean must be finite, got {mu}")
+    if not 0.0 <= sigma_sq < math.inf:
+        raise ParameterDomainError(f"the initial log-variance must be finite and nonnegative, got {sigma_sq}")
+
+
 def _check_theta(eta: float, alpha: float, sigma_sq: float = 1.0) -> None:
     _check_eta_alpha(eta, alpha)
     if not sigma_sq > 0.0:
@@ -333,9 +341,9 @@ def eta_alpha_sums(data, eta: float, alpha: float) -> tuple[float, float, float]
     return _pair_sums(_as_stats(data), eta, math.log(alpha))
 
 
-def _bracket(stats: SufficientStats, eta: float, log_alpha: float, drift: float) -> float:
-    """The objective's quadratic data term in (Y1, Y2, R) at a validated (eta, ln(alpha))."""
-    y1, y2, r = _pair_sums(stats, eta, log_alpha)
+def _bracket(stats: SufficientStats, sums, drift: float) -> float:
+    """The objective's quadratic data term from the sums (Y1, Y2, R) at one (eta, alpha)."""
+    y1, y2, r = sums
     return stats.z1 + 4.0 * (y1 - y2) + drift * (drift * stats.z2 - 2.0 * (stats.z3 - 2.0 * r))
 
 
@@ -348,7 +356,7 @@ def _objective(
     at the drift ln(alpha) - sigma^2/2.
     """
     log_alpha = math.log(alpha)
-    bracket = _bracket(stats, eta, log_alpha, log_alpha - 0.5 * sigma_sq)
+    bracket = _bracket(stats, _pair_sums(stats, eta, log_alpha), log_alpha - 0.5 * sigma_sq)
     if not math.isfinite(bracket):
         return INFEASIBLE
     return 0.5 * stats.n_transitions * math.log(sigma_sq) + bracket / (2.0 * sigma_sq)
@@ -370,8 +378,7 @@ def log_likelihood(
     Returns -inf where the data term is not finite.
     """
     _check_theta(eta, alpha, sigma_sq)
-    if sigma1_sq < 0.0:
-        raise ParameterDomainError(f"sigma1_sq must be nonnegative, got {sigma1_sq}")
+    _check_initial(mu1, sigma1_sq)
     stats = _as_stats(data)
     value = -stats.log_lik_offset - _objective(stats, eta, alpha, sigma_sq)
     if sigma1_sq > 0.0:
@@ -469,7 +476,7 @@ def profile_pass(
     _check_theta(eta, alpha)
     sums = _derivative_sums(stats, eta, alpha)
     log_alpha = math.log(alpha)
-    c0 = _bracket(stats, eta, log_alpha, log_alpha)
+    c0 = _bracket(stats, sums[:3], log_alpha)
     n = stats.n_transitions
     v = 2.0 * c0 / (math.sqrt(n * n + stats.z2 * c0) + n)
     lo, hi = sigma_interior

@@ -13,13 +13,12 @@ from the smallest neighborhood.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bounds import SolutionBox
-from .errors import InitializationError, ParameterDomainError
+from .errors import InitializationError, ParameterDomainError, _check_count
 
 __all__ = [
     "SAConfig",
@@ -47,12 +46,6 @@ _MAX_START_TRIES = 1000
 
 # Cap on the VNS local searches (SA runs) after phase 1.
 _MAX_LOCAL_SEARCHES = 200
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """A count setting must be an integer (not a boolean) of at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ParameterDomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import CurveParams, _check_eta_alpha, _log_mean, hubbert_value
-from .errors import OrderingError, ParameterDomainError
-from .likelihood import PanelData
-from .optimize import _check_count
+from .errors import OrderingError, ParameterDomainError, _check_count
+from .likelihood import PanelData, _check_initial
 
 __all__ = [
     "InitialDistribution",
@@ -44,22 +43,20 @@ class InitialDistribution:
     """Lognormal law of X(t0): ln X(t0) ~ N(mu0, sigma0_sq).
 
     A degenerate start at x0 is the special case (ln x0, 0) and behaves
-    identically everywhere.
+    identically everywhere.  mu0 must be finite and sigma0_sq finite and
+    nonnegative (likelihood._check_initial, which log_likelihood shares).
     """
 
     mu0: float
     sigma0_sq: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sigma0_sq < 0.0:
-            raise ParameterDomainError(
-                f"sigma0_sq must be nonnegative, got {self.sigma0_sq}"
-            )
+        _check_initial(self.mu0, self.sigma0_sq)
 
     @classmethod
     def degenerate(cls, x0: float) -> "InitialDistribution":
-        if not x0 > 0.0:
-            raise ParameterDomainError(f"x0 must be positive, got {x0}")
+        if not 0.0 < x0 < math.inf:
+            raise ParameterDomainError(f"x0 must be positive and finite, got {x0}")
         return cls(mu0=math.log(x0), sigma0_sq=0.0)
 
     @property
@@ -85,10 +82,8 @@ class ProcessParams:
         _check_eta_alpha(self.eta, self.alpha)
         if not 0.0 <= self.sigma < math.inf:
             raise ParameterDomainError(f"sigma must be finite and nonnegative, got {self.sigma}")
-
-    def require_diffusive(self) -> None:
-        if not self.sigma > 0.0:
-            raise ParameterDomainError("sigma must be strictly positive here")
+        if not math.isfinite(self.t0):
+            raise ParameterDomainError(f"t0 must be finite, got {self.t0}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +106,9 @@ class PathGrid:
 
 
 def transition_logpdf(x, t: float, y: float, s: float, p: ProcessParams):
-    """Log transition density ln f(x, t | y, s); lognormal in x."""
-    p.require_diffusive()
+    """Log transition density ln f(x, t | y, s); lognormal in x; needs sigma > 0."""
+    if not p.sigma > 0.0:
+        raise ParameterDomainError("sigma must be strictly positive here")
     if not s < t:
         raise OrderingError(f"require s < t, got s={s}, t={t}")
     x = np.asarray(x, dtype=float)
@@ -191,17 +187,11 @@ def simulate_paths(
     # Deterministic trend through (t0, 1); scaled per path by its start value.
     log_trend = _log_mean(0.0, times, t0, p.eta, p.alpha, math.log(p.alpha))
 
-    if p.sigma > 0.0:
-        increments = rng.standard_normal((n_paths, n_steps)) * np.sqrt(np.diff(times))
-        w = np.concatenate(
-            [np.zeros((n_paths, 1)), np.cumsum(increments, axis=1)], axis=1
-        )
-        noise = p.sigma * w - 0.5 * p.sigma**2 * (times - t0)
-    else:
-        noise = np.zeros((n_paths, times.size))
+    increments = rng.standard_normal((n_paths, n_steps)) * np.sqrt(np.diff(times))
+    w = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(increments, axis=1)], axis=1)
+    # at sigma = 0 the noise is +-0, so the paths are the curve's bytes
+    noise = p.sigma * w - 0.5 * p.sigma**2 * (times - t0)
 
     values = x_start[:, None] * np.exp(log_trend[None, :] + noise)
-    return PanelData(
-        times=[times.copy() for _ in range(n_paths)],
-        values=[values[i] for i in range(n_paths)],
-    )
+    # PanelData copies every array it is given
+    return PanelData(times=[times] * n_paths, values=list(values))

@@ -69,6 +69,19 @@ def test_alpha2_requires_c_below_urr():
         hf.alpha2(100.0, 400.0, 10.0, 10.0)
 
 
+def test_urr_must_be_positive_and_finite():
+    # an infinite URR once gave the uncapped alpha range without a word
+    panel = hf.PanelData(times=[np.arange(0.0, 10.0)], values=[np.linspace(1.0, 5.0, 10)])
+    for urr in (math.inf, math.nan, 0.0, -1.0):
+        for call in (
+            lambda: hf.alpha1(10.0, urr),
+            lambda: hf.alpha2(100.0, urr, 0.0, 10.0),
+            lambda: hf.build_box(panel, urr=urr),
+        ):
+            with pytest.raises(ParameterDomainError, match="urr must be positive and finite"):
+                call()
+
+
 def test_cumulative_trapezoid_matches_closed_form():
     t = np.linspace(0.0, 50.0, 5001)
     p = hf.CurveParams(eta=0.05, alpha=0.8, x0=100.0, t0=0.0)

@@ -612,6 +612,35 @@ def test_config_infinite_sigma_cap_exits_1(tmp_path, capsys, command):
     assert "sigma_cap must be positive and finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["fit", "bounds"])
+def test_infinite_urr_exits_1(capsys, command):
+    # bounds once echoed "urr": Infinity with the uncapped alpha range
+    assert main([command, "--data", "norway", "--urr", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "urr must be positive and finite, got inf" in captured.err
+
+
+@pytest.mark.parametrize("x0", ["inf", "nan"])
+def test_simulate_non_finite_x0_names_it(tmp_path, capsys, x0):
+    # once failed late with a message about path 0 that named no argument
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--eta", "0.1", "--alpha", "0.45", "--sigma", "0.05", "--x0", x0, "--out", str(out)]
+    assert main(argv) == 1
+    assert f"x0 must be positive and finite, got {x0}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "bounds"])
+def test_config_echo_resolves_sigma_cap(tmp_path, capsys, command):
+    # both echoes carry the sigma_cap the run used: the file's, else the default
+    path = tmp_path / "cap.json"
+    path.write_text('{"sigma_cap": 0.2}')
+    for extra, want in (([], 0.1), (["--config", str(path)], 0.2)):
+        assert main([command, "--data", "norway", "--urr", str(datasets.NORWAY_URR), *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["sigma_cap"] == want
+
+
 def test_digits_rounding(capsys):
     code = main(["bounds", "--data", "kazakhstan", "--urr",
                  str(datasets.KAZAKHSTAN_URR), "--digits", "3"])

@@ -108,6 +108,19 @@ def test_shift_parameters_moves_peak_time():
     assert hf.peak_time(eta2, 0.45) == pytest.approx(hf.peak_time(0.1, 0.45) - k, rel=1e-12)
 
 
+def test_shift_parameters_is_eta_times_alpha_pow():
+    # the one clock map eta' = eta * alpha^(-k), the expression FitResult.eta_unshifted uses
+    rng = np.random.default_rng(19)
+    for _ in range(2000):
+        eta, alpha, k = rng.uniform(1e-3, 2.0), rng.uniform(0.05, 0.99), rng.uniform(-200.0, 200.0)
+        assert hf.shift_parameters(eta, alpha, k) == eta * alpha_pow(alpha, -k)
+
+
+def test_shift_parameters_overflow_warns_and_returns_inf():
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert hf.shift_parameters(0.1, 0.01, 3000.0) == math.inf
+
+
 def test_shift_preserves_curve_values():
     k = 3.0
     eta2 = hf.shift_parameters(P.eta, P.alpha, k)
@@ -129,11 +142,6 @@ def test_first_inflection_visible_iff_eta_small():
     assert hf.inflection_times(above.eta, above.alpha)[0] < above.t0
 
 
-def test_peak_after_start_flag():
-    assert hf.CurveParams(eta=0.25, alpha=0.5, x0=1.0, t0=0.0).peak_after_start
-    assert not hf.CurveParams(eta=1.5, alpha=0.5, x0=1.0, t0=0.0).peak_after_start
-
-
 @pytest.mark.parametrize(
     "eta,alpha,x0",
     [(-0.1, 0.5, 1.0), (0.0, 0.5, 1.0), (0.1, 0.0, 1.0), (0.1, 1.0, 1.0), (0.1, 1.5, 1.0), (0.1, 0.5, 0.0)],
@@ -141,6 +149,13 @@ def test_peak_after_start_flag():
 def test_domain_validation(eta, alpha, x0):
     with pytest.raises(ParameterDomainError):
         hf.CurveParams(eta=eta, alpha=alpha, x0=x0)
+
+
+@pytest.mark.parametrize("x0,t0", [(math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+def test_curve_refuses_non_finite_anchor(x0, t0):
+    # a NaN t0 once gave NaN peak values and URRs
+    with pytest.raises(ParameterDomainError, match="x0|t0"):
+        hf.CurveParams(eta=0.1, alpha=0.5, x0=x0, t0=t0)
 
 
 def test_alpha_power_underflows_to_zero():

@@ -431,6 +431,26 @@ def test_fit_shifts_calendar_times():
     )
 
 
+def _calendar_panel():
+    pp = hf.ProcessParams(eta=0.1, alpha=0.45, sigma=0.05, init=hf.InitialDistribution.degenerate(80.0))
+    panel = hf.simulate_paths(pp, hf.PathGrid(np.arange(0.0, 21.0)), 5, 3)
+    return hf.PanelData(times=[t + 20.0 for t in panel.times], values=panel.values)
+
+
+@pytest.mark.parametrize("build,pinned", [
+    (lambda: hf.fit(load_norway(), urr=NORWAY_URR), "3.03580018210323e-123"),
+    (lambda: hf.fit(load_kazakhstan(), urr=KAZAKHSTAN_URR), "3.5729724092366754e-54"),
+    (lambda: hf.fit(_calendar_panel()), "1.005165755501659e-08"),
+])
+def test_eta_unshifted_is_pinned(build, pinned):
+    # recorded when eta_unshifted wrote eta * alpha^k itself; it now reads
+    # curve.shift_parameters, which must keep every bit
+    fit = build()
+    assert repr(float(fit.eta_unshifted)) == pinned
+    eta, alpha, _ = fit.theta_hat
+    assert fit.eta_unshifted == hf.shift_parameters(eta, alpha, -fit.time_shift_k)
+
+
 def test_fit_matches_shifted_fit():
     panel = small_panel(4)
     calendar = hf.PanelData(times=[t + 1980.0 for t in panel.times], values=panel.values)

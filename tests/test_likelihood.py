@@ -500,6 +500,10 @@ def test_likelihood_validation():
         hf.log_likelihood(panel, 0.0, 0.0, 0.1, 0.45, 0.0)
     with pytest.raises(ParameterDomainError):
         hf.log_likelihood(panel, 0.0, -1.0, 0.1, 0.45, 0.01)
+    # a NaN mu1 once gave a NaN, and a NaN sigma1_sq silently dropped the initial terms
+    for mu1, sigma1_sq in ((math.nan, 0.01), (math.inf, 0.0), (4.6, math.nan), (4.6, math.inf)):
+        with pytest.raises(ParameterDomainError, match="initial log-"):
+            hf.log_likelihood(panel, mu1, sigma1_sq, 0.1, 0.45, 0.01)
     with pytest.raises(ParameterDomainError):
         hf.objective(panel, -0.1, 0.45, 0.01)
     with pytest.raises(ParameterDomainError):

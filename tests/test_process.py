@@ -1,4 +1,7 @@
+import ast
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 import hubbertfit as hf
+from hubbertfit import process
 from hubbertfit.errors import OrderingError, ParameterDomainError
 
 PP = hf.ProcessParams(
@@ -103,6 +107,19 @@ def test_simulate_deterministic_mode():
         np.testing.assert_allclose(v, hf.hubbert_value(grid.times, curve), rtol=1e-12)
 
 
+@pytest.mark.parametrize("init,digest", [
+    (hf.InitialDistribution.degenerate(80.0), "e69453f409d4e7241ac7c7b0929f62155fb3b7a3079d63a62cc060789874729a"),
+    (hf.InitialDistribution(4.4, 0.09), "03349ce65e39c5b07cc32ba5351f0bf7388ee6b26ade1f4e8fad7c8a4a81a0ab"),
+])
+def test_simulate_sigma_zero_bytes_are_pinned(init, digest):
+    # recorded when sigma = 0 had its own branch that drew no increments;
+    # the general expression adds +-0 noise there and keeps every byte
+    grid = hf.PathGrid(np.array([0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 8.0, 13.0, 21.0]))
+    p0 = hf.ProcessParams(eta=0.1, alpha=0.45, sigma=0.0, init=init)
+    panel = hf.simulate_paths(p0, grid, 4, seed=11)
+    assert hashlib.sha256(np.stack(panel.values).tobytes()).hexdigest() == digest
+
+
 def test_simulate_reproducible():
     grid = hf.PathGrid(np.linspace(0.0, 10.0, 51))
     a = hf.simulate_paths(PP, grid, 4, seed=99)
@@ -187,6 +204,29 @@ def test_param_validation():
     for bad in (0, 2.5, True):
         with pytest.raises(ParameterDomainError, match="n_paths"):
             hf.simulate_paths(PP, grid, bad, seed=0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hf.InitialDistribution(4.0, math.nan),
+    lambda: hf.InitialDistribution(4.0, math.inf),
+    lambda: hf.InitialDistribution(math.nan),
+    lambda: hf.InitialDistribution(-math.inf),
+    lambda: hf.InitialDistribution.degenerate(math.inf),
+    lambda: hf.InitialDistribution.degenerate(math.nan),
+    lambda: hf.ProcessParams(eta=0.1, alpha=0.45, sigma=0.05, init=PP.init, t0=math.nan),
+    lambda: hf.ProcessParams(eta=0.1, alpha=0.45, sigma=0.05, init=PP.init, t0=math.inf),
+])
+def test_non_finite_initial_law_and_t0_are_refused(build):
+    # each was accepted once: a NaN variance simulated as a degenerate
+    # start, and a NaN t0 gave a NaN mean
+    with pytest.raises(ParameterDomainError):
+        build()
+
+
+def test_process_does_not_import_the_optimizer():
+    tree = ast.parse(Path(process.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "likelihood" in imported and "optimize" not in imported
 
 
 def test_hubbert_value_is_conditional_mean_bit_for_bit():
