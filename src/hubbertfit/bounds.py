@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import ETA_VISIBILITY_FACTOR
-from .errors import InfeasibleRegionError, OrderingError, ParameterDomainError
+from .errors import InfeasibleRegionError, OrderingError, ParameterDomainError, _check_positive
 from .likelihood import PanelData
 
 __all__ = ["SolutionBox", "alpha1", "alpha2", "alpha_caps", "build_box", "ETA_UPPER"]
@@ -68,19 +68,13 @@ class SolutionBox:
         return np.clip(np.asarray(theta, dtype=float), *self.interior)
 
 
-def _check_urr(urr: float) -> None:
-    if not 0.0 < urr < math.inf:
-        raise ParameterDomainError(f"urr must be positive and finite, got {urr}")
-
-
 def alpha1(x0: float, urr: float) -> float:
     """alpha cap from requiring the curve's total area to reach the given URR.
 
     alpha1 = exp(-4 * x0 / URR).
     """
-    _check_urr(urr)
-    if not x0 > 0.0:
-        raise ParameterDomainError(f"x0 must be positive, got {x0}")
+    _check_positive("urr", urr)
+    _check_positive("x0", x0)
     return math.exp(-4.0 * x0 / urr)
 
 
@@ -93,9 +87,8 @@ def alpha2(c: float, urr: float, t0: float, tF: float) -> float:
     """
     if not tF > t0:
         raise OrderingError(f"require tF > t0, got t0={t0}, tF={tF}")
-    _check_urr(urr)
-    if not c > 0.0:
-        raise ParameterDomainError(f"c must be positive, got {c}")
+    _check_positive("urr", urr)
+    _check_positive("c", c)
     if c >= urr:
         raise InfeasibleRegionError(
             f"cumulative production {c:.6g} >= urr {urr:.6g}; "
@@ -137,8 +130,7 @@ def build_box(
     Without a URR the alpha interval falls back to (0, 1); with one it is
     (0, alpha*), alpha* = min(alpha_caps(data, urr)).
     """
-    if not 0.0 < sigma_cap < math.inf:
-        raise ParameterDomainError(f"sigma_cap must be positive and finite, got {sigma_cap}")
+    _check_positive("sigma_cap", sigma_cap)
     alpha_star = 1.0 if urr is None else min(alpha_caps(data, urr))
     return SolutionBox(
         eta_range=(0.0, ETA_UPPER),

@@ -285,10 +285,9 @@ def cmd_fit(args) -> int:
     if (args.peak_x is None) != (args.peak_s is None):
         raise DataFormatError("--peak-x and --peak-s must be given together")
     # estimate_peak would refuse these too, but only after the whole fit
-    if args.peak_x is not None and not 0.0 < args.peak_x < math.inf:
-        raise errors.ParameterDomainError(f"--peak-x must be positive and finite, got {args.peak_x}")
-    if args.peak_s is not None and not math.isfinite(args.peak_s):
-        raise errors.ParameterDomainError(f"--peak-s must be finite, got {args.peak_s}")
+    if args.peak_x is not None:
+        errors._check_positive("--peak-x", args.peak_x)
+        errors._check_finite("--peak-s", args.peak_s)
     settings = _settings(args, ("urr", "seed", "restarts", "sigma_cap"))
     _check_seed(settings.get("seed"))
     data = _load_data(args.data)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, _check_finite, _check_positive
 
 __all__ = [
     "CurveParams",
@@ -35,8 +35,9 @@ ETA_VISIBILITY_FACTOR = 2.0 - math.sqrt(3.0)
 
 
 def _check_eta_alpha(eta: float, alpha: float) -> None:
-    if not eta > 0.0:
-        raise ParameterDomainError(f"eta must be positive, got {eta}")
+    """The one (eta, alpha) rule, written inline: the profile search runs it twice per evaluation."""
+    if not 0.0 < eta < math.inf:
+        raise ParameterDomainError(f"eta must be positive and finite, got {eta}")
     if not 0.0 < alpha < 1.0:
         raise ParameterDomainError(f"alpha must lie in (0, 1), got {alpha}")
 
@@ -73,17 +74,14 @@ class CurveParams:
 
     def __post_init__(self) -> None:
         _check_eta_alpha(self.eta, self.alpha)
-        if not 0.0 < self.x0 < math.inf:
-            raise ParameterDomainError(f"x0 must be positive and finite, got {self.x0}")
-        if not math.isfinite(self.t0):
-            raise ParameterDomainError(f"t0 must be finite, got {self.t0}")
+        _check_positive("x0", self.x0)
+        _check_finite("t0", self.t0)
 
 
 def logistic_value(t, k: float, eta: float, alpha: float):
     """Logistic curve k / (eta + alpha^t); strictly increasing in t."""
     _check_eta_alpha(eta, alpha)
-    if not k > 0.0:
-        raise ParameterDomainError(f"k must be positive, got {k}")
+    _check_positive("k", k)
     return k / (eta + alpha_pow(alpha, t))
 
 

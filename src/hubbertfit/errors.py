@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the count rule that raises one."""
+"""Exception types shared across the package, and the count and scalar rules that raise one."""
 
+import math
 import numbers
 
 
@@ -31,3 +32,23 @@ def _check_count(name: str, value, minimum: int) -> None:
     """A count setting must be an integer (not a boolean) of at least minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ParameterDomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    if not 0.0 < value < math.inf:
+        raise ParameterDomainError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_finite(name: str, value) -> None:
+    if not math.isfinite(value):
+        raise ParameterDomainError(f"{name} must be finite, got {value}")
+
+
+def _check_nonnegative(name: str, value) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ParameterDomainError(f"{name} must be finite and nonnegative, got {value}")
+
+
+def _check_unit_interval(name: str, value) -> None:
+    if not 0.0 < value < 1.0:
+        raise ParameterDomainError(f"{name} must lie in (0, 1), got {value}")

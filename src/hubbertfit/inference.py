@@ -27,6 +27,7 @@ from . import likelihood as lik
 from . import optimize as opt
 from .curve import CurveParams, _check_eta_alpha, alpha_pow, peak_time, peak_value, shift_parameters
 from .errors import ConditioningError, OrderingError, ParameterDomainError, _check_count
+from .errors import _check_finite, _check_positive, _check_unit_interval
 from .likelihood import PanelData, SufficientStats
 from .process import InitialDistribution, conditional_mean
 
@@ -69,8 +70,7 @@ def fisher_information(theta, data) -> np.ndarray:
     """
     eta, alpha, sigma = (float(v) for v in theta)
     _check_eta_alpha(eta, alpha)
-    if not sigma > 0.0:
-        raise ParameterDomainError(f"sigma must be positive, got {sigma}")
+    _check_positive("sigma", sigma)
     stats = lik._as_stats(data)
     return _fisher(stats, lik._derivative_sums(stats, eta, alpha), alpha, sigma)
 
@@ -241,18 +241,18 @@ def estimate_peak(fit: FitResult, y: float | None = None, s: float | None = None
     if y is None:
         y_eff, s_shifted = fit.initial_mean, 0.0
     else:
-        if not 0.0 < y < math.inf:
-            raise ParameterDomainError(f"conditioning value y must be positive and finite, got {y}")
-        if not math.isfinite(s):
-            raise ParameterDomainError(f"conditioning time s must be finite, got {s}")
+        _check_positive("conditioning value y", y)
+        _check_finite("conditioning time s", s)
         y_eff, s_shifted = y, s - k
+    # before the gradients: this refuses an initial mean that overflowed to inf
+    curve = CurveParams(eta, alpha, y_eff, s_shifted)
 
     grads = np.stack([peak_time_gradient(eta, alpha), peak_gradient(eta, alpha, y_eff, s_shifted)])
     t_se, p_se = delta_error(grads, fit.cov).tolist()
     return PeakEstimate(
         peak_time=peak_time(eta, alpha) + k,
         peak_time_se=t_se,
-        peak=peak_value(CurveParams(eta, alpha, y_eff, s_shifted)),
+        peak=peak_value(curve),
         peak_se=p_se,
     )
 
@@ -272,17 +272,14 @@ def forecast(
     the horizon times must be finite.  Raises ConditioningError when the
     fit has no finite covariance.
     """
-    if not 0.0 < level < 1.0:
-        raise ParameterDomainError(f"level must lie in (0, 1), got {level}")
-    if not math.isfinite(s):
-        raise ParameterDomainError(f"s must be finite, got {s}")
+    _check_unit_interval("level", level)
+    _check_finite("s", s)
     times = np.atleast_1d(np.asarray(horizon_times, dtype=float))
     if not np.all(np.isfinite(times)):
         raise ParameterDomainError("horizon times must be finite")
     if np.any(times <= s):
         raise OrderingError("all horizon times must lie strictly after s")
-    if not 0.0 < x_s < math.inf:
-        raise ParameterDomainError(f"x_s must be positive and finite, got {x_s}")
+    _check_positive("x_s", x_s)
     _require_cov(fit, "forecast bands")
     eta, alpha, _ = fit.theta_hat
     k = fit.time_shift_k
@@ -483,9 +480,8 @@ def fit(
         warnings.append(str(exc))
         cov = np.full((3, 3), np.nan)
 
-    ll = lik.log_likelihood(
-        stats, mu1, sigma1_sq, eta_hat, alpha_hat, sigma_hat**2
-    )
+    # sigma * sigma, as the searches evaluated the objective; sigma**2 can differ in the last bit
+    ll = lik.log_likelihood(stats, mu1, sigma1_sq, eta_hat, alpha_hat, sigma_hat * sigma_hat)
     return FitResult(
         theta_hat=theta,
         mu1_hat=mu1,

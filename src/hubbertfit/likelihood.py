@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curve import _check_eta_alpha, alpha_pow
-from .errors import OrderingError, ParameterDomainError
+from .errors import OrderingError, ParameterDomainError, _check_finite, _check_nonnegative, _check_positive
 
 __all__ = [
     "PanelData",
@@ -290,16 +290,8 @@ def initial_mle(data) -> tuple[float, float]:
 
 def _check_initial(mu: float, sigma_sq: float) -> None:
     """The rule for the lognormal initial law N(mu, sigma_sq) of ln X(t0)."""
-    if not math.isfinite(mu):
-        raise ParameterDomainError(f"the initial log-mean must be finite, got {mu}")
-    if not 0.0 <= sigma_sq < math.inf:
-        raise ParameterDomainError(f"the initial log-variance must be finite and nonnegative, got {sigma_sq}")
-
-
-def _check_theta(eta: float, alpha: float, sigma_sq: float = 1.0) -> None:
-    _check_eta_alpha(eta, alpha)
-    if not sigma_sq > 0.0:
-        raise ParameterDomainError(f"sigma_sq must be positive, got {sigma_sq}")
+    _check_finite("the initial log-mean", mu)
+    _check_nonnegative("the initial log-variance", sigma_sq)
 
 
 def _pair_sums(
@@ -337,7 +329,7 @@ def eta_alpha_sums(data, eta: float, alpha: float) -> tuple[float, float, float]
     Y1 = sum T_ij^2 / dt_ij,  Y2 = sum ln(x_ij/x_{i,j-1}) * T_ij / dt_ij,
     R  = per-path telescoped sum of T_ij.
     """
-    _check_theta(eta, alpha)
+    _check_eta_alpha(eta, alpha)
     return _pair_sums(_as_stats(data), eta, math.log(alpha))
 
 
@@ -377,7 +369,8 @@ def log_likelihood(
     those terms are dropped and only the N - d transitions count.
     Returns -inf where the data term is not finite.
     """
-    _check_theta(eta, alpha, sigma_sq)
+    _check_eta_alpha(eta, alpha)
+    _check_positive("sigma_sq", sigma_sq)
     _check_initial(mu1, sigma1_sq)
     stats = _as_stats(data)
     value = -stats.log_lik_offset - _objective(stats, eta, alpha, sigma_sq)
@@ -399,7 +392,8 @@ def objective(data, eta: float, alpha: float, sigma_sq: float) -> float:
     Returns +inf (INFEASIBLE) where the data term is not finite, so
     metaheuristics stay total on their search box.
     """
-    _check_theta(eta, alpha, sigma_sq)
+    _check_eta_alpha(eta, alpha)
+    _check_positive("sigma_sq", sigma_sq)
     return _objective(_as_stats(data), eta, alpha, sigma_sq)
 
 
@@ -473,7 +467,7 @@ def profile_pass(
     without the cancellation) and rises after.  The value is objective()
     at sqrt(v*) clipped, which reuses the sums of this pass.
     """
-    _check_theta(eta, alpha)
+    _check_eta_alpha(eta, alpha)
     sums = _derivative_sums(stats, eta, alpha)
     log_alpha = math.log(alpha)
     c0 = _bracket(stats, sums[:3], log_alpha)

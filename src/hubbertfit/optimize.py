@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import SolutionBox
-from .errors import InitializationError, ParameterDomainError, _check_count
+from .errors import InitializationError, ParameterDomainError, _check_count, _check_positive, _check_unit_interval
 
 __all__ = [
     "SAConfig",
@@ -58,14 +58,11 @@ class SAConfig:
     stall_window: int = 50
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p0 < 1.0:
-            raise ParameterDomainError(f"p0 must lie in (0, 1), got {self.p0}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ParameterDomainError(f"gamma must lie in (0, 1), got {self.gamma}")
+        _check_unit_interval("p0", self.p0)
+        _check_unit_interval("gamma", self.gamma)
         for name, minimum in (("chain_length", 1), ("init_probe_count", 2), ("stall_window", 1)):
             _check_count(name, getattr(self, name), minimum)
-        if not self.t_final > 0.0:
-            raise ParameterDomainError(f"t_final must be positive, got {self.t_final}")
+        _check_positive("t_final", self.t_final)
 
 
 @dataclass(frozen=True)

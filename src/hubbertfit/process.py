@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import CurveParams, _check_eta_alpha, _log_mean, hubbert_value
-from .errors import OrderingError, ParameterDomainError, _check_count
+from .errors import OrderingError, ParameterDomainError, _check_count, _check_finite, _check_nonnegative, _check_positive
 from .likelihood import PanelData, _check_initial
 
 __all__ = [
@@ -55,13 +55,13 @@ class InitialDistribution:
 
     @classmethod
     def degenerate(cls, x0: float) -> "InitialDistribution":
-        if not 0.0 < x0 < math.inf:
-            raise ParameterDomainError(f"x0 must be positive and finite, got {x0}")
+        _check_positive("x0", x0)
         return cls(mu0=math.log(x0), sigma0_sq=0.0)
 
     @property
     def mean(self) -> float:
-        return math.exp(self.mu0 + 0.5 * self.sigma0_sq)
+        """exp(mu0 + sigma0_sq/2); inf, with numpy's overflow warning, where that overflows."""
+        return float(np.exp(self.mu0 + 0.5 * self.sigma0_sq))
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,8 @@ class ProcessParams:
 
     def __post_init__(self) -> None:
         _check_eta_alpha(self.eta, self.alpha)
-        if not 0.0 <= self.sigma < math.inf:
-            raise ParameterDomainError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if not math.isfinite(self.t0):
-            raise ParameterDomainError(f"t0 must be finite, got {self.t0}")
+        _check_nonnegative("sigma", self.sigma)
+        _check_finite("t0", self.t0)
 
 
 @dataclass(frozen=True)
@@ -98,6 +96,8 @@ class PathGrid:
             raise OrderingError("grid needs at least two time points")
         if not np.all(np.diff(times) > 0.0):
             raise OrderingError("grid times must be strictly increasing")
+        if not np.all(np.isfinite(times)):
+            raise ParameterDomainError(f"grid times must be finite, got {times}")
         object.__setattr__(self, "times", times)
 
     @property
@@ -107,8 +107,7 @@ class PathGrid:
 
 def transition_logpdf(x, t: float, y: float, s: float, p: ProcessParams):
     """Log transition density ln f(x, t | y, s); lognormal in x; needs sigma > 0."""
-    if not p.sigma > 0.0:
-        raise ParameterDomainError("sigma must be strictly positive here")
+    _check_positive("sigma", p.sigma)
     if not s < t:
         raise OrderingError(f"require s < t, got s={s}, t={t}")
     x = np.asarray(x, dtype=float)
@@ -148,6 +147,8 @@ def finite_dim_params(times, p: ProcessParams) -> tuple[np.ndarray, np.ndarray]:
         raise OrderingError("times must be strictly increasing")
     if np.any(times < p.t0):
         raise OrderingError("all times must be >= t0")
+    if not np.all(np.isfinite(times)):
+        raise ParameterDomainError(f"times must be finite, got {times}")
     rate = math.log(p.alpha) - 0.5 * p.sigma**2
     mu = _log_mean(p.init.mu0, times, p.t0, p.eta, p.alpha, rate)
     cov = p.init.sigma0_sq + p.sigma**2 * (np.minimum.outer(times, times) - p.t0)

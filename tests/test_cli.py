@@ -631,6 +631,31 @@ def test_simulate_non_finite_x0_names_it(tmp_path, capsys, x0):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eta", "inf", "error: eta must be positive and finite, got inf"),
+    ("--eta", "0", "error: eta must be positive and finite, got 0.0"),
+    ("--alpha", "nan", "error: alpha must lie in (0, 1), got nan"),
+])
+def test_simulate_bad_eta_alpha_names_it(tmp_path, capsys, flag, value, message):
+    # --eta inf once failed with a message about path 0 that named no flag
+    out = tmp_path / "sim.csv"
+    # argparse keeps the last of a repeated flag
+    argv = ["simulate", "--eta", "0.1", "--alpha", "0.45", "--sigma", "0.05", flag, value, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("peak, message", [
+    (("--peak-x", "inf", "--peak-s", "2014"), "error: --peak-x must be positive and finite, got inf\n"),
+    (("--peak-x", "1568", "--peak-s=-inf"), "error: --peak-s must be finite, got -inf\n"),
+])
+def test_fit_peak_point_message_is_the_rule_wording(capsys, monkeypatch, peak, message):
+    monkeypatch.setattr(hf.inference, "fit", _fit_must_not_run)
+    assert main(["fit", "--data", "norway", *peak]) == 1
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("command", ["fit", "bounds"])
 def test_config_echo_resolves_sigma_cap(tmp_path, capsys, command):
     # both echoes carry the sigma_cap the run used: the file's, else the default

@@ -400,6 +400,25 @@ def test_fit_recovers_rough_parameters():
     assert math.isfinite(fit.log_likelihood)
 
 
+def test_fit_log_likelihood_is_at_the_objective_sigma_sq():
+    # log_likelihood was evaluated at sigma**2 and the objective at
+    # sigma * sigma; here the two differ in the last bit, and the reported
+    # log-likelihood was -121.685252220476, not -121.68525222047595
+    p = hf.ProcessParams(eta=0.1, alpha=0.45, sigma=0.2, init=hf.InitialDistribution.degenerate(100.0))
+    panel = hf.simulate_paths(p, hf.PathGrid(np.arange(0.0, 21.0)), 5, 1)
+    fit = hf.fit(panel, sigma_cap=0.07319)
+    assert fit.log_likelihood == -SufficientStats.from_panel(panel).log_lik_offset - fit.objective_value
+
+
+def test_unconditional_peak_refuses_an_overflowing_initial_mean():
+    # FitResult.initial_mean once raised a bare OverflowError from math.exp
+    fit = synthetic_fit(0.1, 0.45, 0.05, 0.0)
+    fit.mu1_hat, fit.sigma1_sq_hat = 700.0, 40.0
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ParameterDomainError, match="^x0 must be positive and finite, got inf$"):
+            hf.estimate_peak(fit)
+
+
 def test_fit_covariance_and_std_errors_from_fisher():
     fit = hf.fit(small_panel(), seed=5, sa_config=FAST_SA)
     np.testing.assert_array_equal(fit.cov, hf.asymptotic_cov(fit.fisher, fit.theta_hat[2]))

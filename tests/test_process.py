@@ -188,6 +188,30 @@ def test_grid_validation():
         hf.PathGrid(np.array([0.0]))
 
 
+@pytest.mark.parametrize("times", [[0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]])
+def test_non_finite_grid_times_are_refused(times):
+    # [0, 1, inf] was accepted, and simulate_paths then failed on path 0's values
+    with pytest.raises(ParameterDomainError, match="grid times must be finite"):
+        hf.PathGrid(np.array(times))
+
+
+def test_finite_dim_params_refuses_non_finite_times():
+    # once returned a -inf mean and an inf variance
+    with pytest.raises(ParameterDomainError, match="^times must be finite"):
+        hf.finite_dim_params([0.0, 1.0, math.inf], PP)
+
+
+def test_overflowing_initial_mean_is_inf_and_refused_downstream():
+    # math.exp raised a bare OverflowError here
+    init = hf.InitialDistribution(700.0, 40.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert init.mean == math.inf
+    p = hf.ProcessParams(eta=0.1, alpha=0.45, sigma=0.05, init=init)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ParameterDomainError, match="^x0 must be positive and finite, got inf$"):
+            hf.mean(1.0, p)
+
+
 def test_param_validation():
     with pytest.raises(ParameterDomainError):
         hf.ProcessParams(eta=0.1, alpha=0.45, sigma=-0.1, init=PP.init)
