@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import ETA_VISIBILITY_FACTOR
-from .errors import InfeasibleRegionError, OrderingError, ParameterDomainError, _check_positive
+from .errors import InfeasibleRegionError, OrderingError, ParameterDomainError, _check_finite, _check_positive
 from .likelihood import PanelData
 
 __all__ = ["SolutionBox", "alpha1", "alpha2", "alpha_caps", "build_box", "ETA_UPPER"]
@@ -83,8 +83,11 @@ def alpha2(c: float, urr: float, t0: float, tF: float) -> float:
 
     With M = c/URR and h = tF - t0, alpha2 = |(M-1)/(M+1)|^(2/h).  The
     absolute value squares the (negative, since M < 1) base before the
-    1/h-th root; this reproduces the published bound tables.
+    1/h-th root; this reproduces the published bound tables.  The window
+    must be finite: an infinite h would give the uncapped 1.0.
     """
+    _check_finite("t0", t0)
+    _check_finite("tF", tF)
     if not tF > t0:
         raise OrderingError(f"require tF > t0, got t0={t0}, tF={tF}")
     _check_positive("urr", urr)

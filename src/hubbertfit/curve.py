@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError, _check_finite, _check_positive
+from .errors import ParameterDomainError, _check_all_finite, _check_finite, _check_positive
 
 __all__ = [
     "CurveParams",
-    "logistic_value",
     "hubbert_value",
     "peak_time",
     "peak_value",
@@ -78,15 +77,14 @@ class CurveParams:
         _check_finite("t0", self.t0)
 
 
-def logistic_value(t, k: float, eta: float, alpha: float):
-    """Logistic curve k / (eta + alpha^t); strictly increasing in t."""
-    _check_eta_alpha(eta, alpha)
-    _check_positive("k", k)
-    return k / (eta + alpha_pow(alpha, t))
-
-
 def hubbert_value(t, p: CurveParams):
-    """Production rate x(t), computed as exp(ln x(t)); x(t0) = x0 up to rounding."""
+    """Production rate x(t), computed as exp(ln x(t)); x(t0) = x0 up to rounding; t must be finite."""
+    _check_all_finite("t", t)
+    return _hubbert_value(t, p)
+
+
+def _hubbert_value(t, p: CurveParams):
+    """hubbert_value at times t already checked."""
     return np.exp(_log_mean(math.log(p.x0), t, p.t0, p.eta, p.alpha, math.log(p.alpha)))
 
 

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the count and scalar rules that raise one."""
+"""Exception types shared across the package, and the count, scalar and array rules that raise one."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ParameterDomainError(ValueError):
@@ -42,6 +44,18 @@ def _check_positive(name: str, value) -> None:
 def _check_finite(name: str, value) -> None:
     if not math.isfinite(value):
         raise ParameterDomainError(f"{name} must be finite, got {value}")
+
+
+def _check_all_finite(name: str, values) -> None:
+    """_check_finite's rule for every element of a scalar or an array."""
+    if not np.isfinite(values).all():
+        raise ParameterDomainError(f"{name} must be finite, got {values}")
+
+
+def _check_all_positive(name: str, values) -> None:
+    """_check_positive's rule for every element of an array."""
+    if not ((values > 0.0) & (values < math.inf)).all():
+        raise ParameterDomainError(f"{name} must be positive and finite, got {values}")
 
 
 def _check_nonnegative(name: str, value) -> None:

@@ -25,9 +25,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import likelihood as lik
 from . import optimize as opt
-from .curve import CurveParams, _check_eta_alpha, alpha_pow, peak_time, peak_value, shift_parameters
+from .curve import CurveParams, _check_eta_alpha, _hubbert_value, alpha_pow, peak_time, peak_value, shift_parameters
 from .errors import ConditioningError, OrderingError, ParameterDomainError, _check_count
-from .errors import _check_finite, _check_positive, _check_unit_interval
+from .errors import _check_all_finite, _check_finite, _check_positive, _check_unit_interval
 from .likelihood import PanelData, SufficientStats
 from .process import InitialDistribution, conditional_mean
 
@@ -95,8 +95,10 @@ def asymptotic_cov(info: np.ndarray, sigma: float) -> np.ndarray:
         raise ConditioningError(
             f"information matrix is numerically singular (cond ~ {cond:.3e})"
         )
-    jac = np.diag([1.0, 1.0, 1.0 / (2.0 * sigma)])
-    return jac @ np.linalg.inv(info) @ jac
+    # jac @ inv @ jac for jac = diag(1, 1, j): each entry times its row's and then its
+    # column's factor, the products the matrix product makes (its other terms are zeros)
+    scale = np.array([1.0, 1.0, 1.0 / (2.0 * sigma)])
+    return np.linalg.inv(info) * scale[:, None] * scale
 
 
 def delta_error(grad, cov: np.ndarray):
@@ -104,7 +106,8 @@ def delta_error(grad, cov: np.ndarray):
     grad = np.asarray(grad, dtype=float)
     cov = np.asarray(cov, dtype=float)
     q = (grad[..., None, :] @ cov @ grad[..., :, None])[..., 0, 0]
-    negative = q < -1e-12 * np.maximum(1.0, np.trace(cov) * np.sum(grad * grad, axis=-1))
+    # only a negative q can fall below the (negative) tolerance, so it is built only then
+    negative = (q < 0.0).any() and q < -1e-12 * np.maximum(1.0, np.trace(cov) * np.sum(grad * grad, axis=-1))
     if np.any(negative):
         raise ConditioningError(f"negative delta-method quadratic form {q[negative].min()}")
     return np.sqrt(np.maximum(q, 0.0))
@@ -140,9 +143,13 @@ def conditional_mean_gradient(eta: float, alpha: float, y: float, s: float, t) -
 
     An array of n times t gives an (n, 3) stack, one gradient per time.
     """
+    return _mean_gradient(eta, alpha, s, t, conditional_mean(t, y, s, eta, alpha))
+
+
+def _mean_gradient(eta: float, alpha: float, s: float, t, m) -> np.ndarray:
+    """conditional_mean_gradient from m, the conditional mean at t."""
     _, de_s, da_s = lik._log_w(eta, alpha, s)
     _, de_t, da_t = lik._log_w(eta, alpha, t)
-    m = conditional_mean(t, y, s, eta, alpha)
     dlog_eta = 2.0 * (de_s - de_t)
     dlog_alpha = 2.0 * (da_s - da_t) + (t - s) / alpha
     return np.stack([m * dlog_eta, m * dlog_alpha, np.zeros_like(m)], axis=-1)
@@ -216,7 +223,7 @@ class Forecast:
 
 
 def _require_cov(fit: FitResult, what: str) -> None:
-    if not np.all(np.isfinite(fit.cov)):
+    if not np.isfinite(fit.cov).all():
         raise ConditioningError(
             "the fit has no finite covariance (singular Fisher information), "
             f"so {what} cannot be computed"
@@ -275,18 +282,18 @@ def forecast(
     _check_unit_interval("level", level)
     _check_finite("s", s)
     times = np.atleast_1d(np.asarray(horizon_times, dtype=float))
-    if not np.all(np.isfinite(times)):
-        raise ParameterDomainError("horizon times must be finite")
+    _check_all_finite("horizon times", times)
     if np.any(times <= s):
         raise OrderingError("all horizon times must lie strictly after s")
     _check_positive("x_s", x_s)
     _require_cov(fit, "forecast bands")
     eta, alpha, _ = fit.theta_hat
     k = fit.time_shift_k
-    s_shift = s - k
-    point = conditional_mean(times - k, x_s, s_shift, eta, alpha)
+    s_shift, t_shift = s - k, times - k
+    # conditional_mean's bytes without a second check of the horizon; the band shares the mean
+    point = _hubbert_value(t_shift, CurveParams(eta, alpha, x_s, s_shift))
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = z * delta_error(conditional_mean_gradient(eta, alpha, x_s, s_shift, times - k), fit.cov)
+    half = z * delta_error(_mean_gradient(eta, alpha, s_shift, t_shift, point), fit.cov)
     return Forecast(
         times=times,
         point=point,
@@ -306,24 +313,24 @@ def _projected_step(x, gradient, information, lower, upper):
     not numerically positive definite, the step is the minimizer of the
     linear model over a box of the widths.
     """
-    (g0, g1), (m00, m01, m11) = gradient, information
+    (x0, x1), (g0, g1), (m00, m01, m11), (lo0, lo1), (hi0, hi1) = x, gradient, information, lower, upper
     # -1 on the lower bound, 1 on the upper, 0 inside: e * s > 0 points s out of the box
-    edge = [(v >= hi) - (v <= lo) for v, lo, hi in zip(x, lower, upper)]
-    held = [e * g < 0.0 for e, g in zip(edge, gradient)]
+    e0, e1 = (x0 >= hi0) - (x0 <= lo0), (x1 >= hi1) - (x1 <= lo1)
+    held0, held1 = e0 * g0 < 0.0, e1 * g1 < 0.0
     while True:
         # M with the rows and columns of the held coordinates set to the identity's
-        d0, d1 = (1.0 if held[0] else m00), (1.0 if held[1] else m11)
-        c = 0.0 if held[0] or held[1] else m01
+        d0, d1 = (1.0 if held0 else m00), (1.0 if held1 else m11)
+        c = 0.0 if held0 or held1 else m01
         det = d0 * d1 - c * c
         if d0 > 0.0 and det > 0.0:
-            step = ((c * g1 - d1 * g0) / det, (c * g0 - d0 * g1) / det)
+            s0, s1 = (c * g1 - d1 * g0) / det, (c * g0 - d0 * g1) / det
         else:
-            step = [-math.copysign(hi - lo, g) for g, lo, hi in zip(gradient, lower, upper)]
-        step = (0.0 if held[0] else step[0], 0.0 if held[1] else step[1])
-        out = [e * s > 0.0 for e, s in zip(edge, step)]
-        if not any(out):
-            return step
-        held = [h or o for h, o in zip(held, out)]
+            s0, s1 = -math.copysign(hi0 - lo0, g0), -math.copysign(hi1 - lo1, g1)
+        s0, s1 = (0.0 if held0 else s0), (0.0 if held1 else s1)
+        out0, out1 = e0 * s0 > 0.0, e1 * s1 > 0.0
+        if not (out0 or out1):
+            return s0, s1
+        held0, held1 = held0 or out0, held1 or out1
 
 
 def _profile_search(stats: SufficientStats, box: bounds_mod.SolutionBox):
@@ -459,7 +466,6 @@ def fit(
             stats, box, sa_config, vns_config, seed, n_restarts, algorithm
         )
         info = fisher_information(theta, stats)
-    eta_hat, alpha_hat, sigma_hat = theta
 
     warnings = []
     if algorithm == "profile" and stop_reason == "max_iter":
@@ -475,19 +481,18 @@ def fit(
             "standard errors assume an interior one"
         )
     try:
-        cov = asymptotic_cov(info, sigma_hat)
+        cov = asymptotic_cov(info, theta[2])
     except ConditioningError as exc:
         warnings.append(str(exc))
         cov = np.full((3, 3), np.nan)
 
-    # sigma * sigma, as the searches evaluated the objective; sigma**2 can differ in the last bit
-    ll = lik.log_likelihood(stats, mu1, sigma1_sq, eta_hat, alpha_hat, sigma_hat * sigma_hat)
     return FitResult(
         theta_hat=theta,
         mu1_hat=mu1,
         sigma1_sq_hat=sigma1_sq,
         objective_value=value,
-        log_likelihood=ll,
+        # value is objective() at theta, sigma^2 = sigma * sigma, so this is log_likelihood() there
+        log_likelihood=lik._log_likelihood(stats, mu1, sigma1_sq, value),
         fisher=info,
         cov=cov,
         time_shift_k=k,

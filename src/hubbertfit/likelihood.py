@@ -20,7 +20,7 @@ bit (see SufficientStats.from_panel).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,7 +195,7 @@ class SufficientStats:
         u_all = np.diff(log_v)[within]
         dt_all = t_all - s_all
 
-        z1 = float(np.sum(u_all**2 / dt_all))
+        z1 = float(_sum(u_all**2 / dt_all))
         # z2, z3 and the offset are summed path by path, in path order; the
         # float sums, and so every fit's last bits, depend on that order
         z2 = float(sum((times[ends - 1] - times[starts]).tolist()))
@@ -229,7 +229,7 @@ class SufficientStats:
             log_lik_offset=(
                 0.5 * s_all.size * math.log(2.0 * math.pi)
                 + float(log_v_rest)
-                + 0.5 * float(np.sum(np.log(dt_all)))
+                + 0.5 * float(_sum(np.log(dt_all)))
             ),
         )
 
@@ -242,7 +242,7 @@ class SufficientStats:
         span = float(grid[-1] - grid[0])
         return cls(
             # flat and C-ordered, these are the sort path's transitions in path order
-            z1=float(np.sum((u**2 / dt).ravel())),
+            z1=float(_sum((u**2 / dt).ravel())),
             z2=float(sum([span] * d)),
             z3=float(sum(map(math.log, (values[:, -1] / values[:, 0]).tolist()))),
             n_obs=d * n,
@@ -259,13 +259,19 @@ class SufficientStats:
             log_lik_offset=(
                 0.5 * (d * (n - 1)) * math.log(2.0 * math.pi)
                 + float(sum(_sum(log_v[:, 1:], axis=1).tolist()))
-                + 0.5 * float(np.sum(np.tile(np.log(dt), d)))
+                + 0.5 * float(_sum(np.tile(np.log(dt), d)))
             ),
         )
 
     def shifted(self, k: float) -> "SufficientStats":
-        """The same summaries on the shifted clock t -> t - k: only u_times depends on the clock."""
-        return replace(self, u_times=self.u_times - k)
+        """The same summaries on the shifted clock t -> t - k: only u_times depends on the clock.
+
+        A copy of the fields and pair_weights, without a second __post_init__,
+        whose _pair_memo starts empty.
+        """
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, u_times=self.u_times - k, _pair_memo=(None, None, None))
+        return new
 
     @property
     def n_transitions(self) -> int:
@@ -283,8 +289,9 @@ def initial_mle(data) -> tuple[float, float]:
     distribution downstream.
     """
     log_x1 = _as_stats(data).log_x_first
-    mu1 = float(np.mean(log_x1))
-    sigma1_sq = float(np.mean((log_x1 - mu1) ** 2))
+    # np.mean's sum and division, without its wrapper
+    mu1 = float(_sum(log_x1) / log_x1.size)
+    sigma1_sq = float(_sum((log_x1 - mu1) ** 2) / log_x1.size)
     return mu1, sigma1_sq
 
 
@@ -373,13 +380,18 @@ def log_likelihood(
     _check_positive("sigma_sq", sigma_sq)
     _check_initial(mu1, sigma1_sq)
     stats = _as_stats(data)
-    value = -stats.log_lik_offset - _objective(stats, eta, alpha, sigma_sq)
+    return _log_likelihood(stats, mu1, sigma1_sq, _objective(stats, eta, alpha, sigma_sq))
+
+
+def _log_likelihood(stats: SufficientStats, mu1: float, sigma1_sq: float, value: float) -> float:
+    """log_likelihood from the objective's value at the same (eta, alpha, sigma^2)."""
+    value = -stats.log_lik_offset - value
     if sigma1_sq > 0.0:
         value += (
             -0.5 * stats.d * math.log(2.0 * math.pi)
             - 0.5 * stats.d * math.log(sigma1_sq)
-            - float(np.sum(stats.log_x_first))
-            - float(np.sum((stats.log_x_first - mu1) ** 2)) / (2.0 * sigma1_sq)
+            - float(_sum(stats.log_x_first))
+            - float(_sum((stats.log_x_first - mu1) ** 2)) / (2.0 * sigma1_sq)
         )
     return value
 

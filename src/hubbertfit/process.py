@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import CurveParams, _check_eta_alpha, _log_mean, hubbert_value
-from .errors import OrderingError, ParameterDomainError, _check_count, _check_finite, _check_nonnegative, _check_positive
+from .errors import OrderingError, _check_all_finite, _check_all_positive, _check_count, _check_finite, _check_nonnegative
+from .errors import _check_positive
 from .likelihood import PanelData, _check_initial
 
 __all__ = [
@@ -96,8 +97,7 @@ class PathGrid:
             raise OrderingError("grid needs at least two time points")
         if not np.all(np.diff(times) > 0.0):
             raise OrderingError("grid times must be strictly increasing")
-        if not np.all(np.isfinite(times)):
-            raise ParameterDomainError(f"grid times must be finite, got {times}")
+        _check_all_finite("grid times", times)
         object.__setattr__(self, "times", times)
 
     @property
@@ -106,13 +106,18 @@ class PathGrid:
 
 
 def transition_logpdf(x, t: float, y: float, s: float, p: ProcessParams):
-    """Log transition density ln f(x, t | y, s); lognormal in x; needs sigma > 0."""
+    """Log transition density ln f(x, t | y, s); lognormal in x.
+
+    Needs sigma > 0, finite times s < t and positive, finite states x and y.
+    """
     _check_positive("sigma", p.sigma)
+    _check_finite("s", s)
+    _check_finite("t", t)
     if not s < t:
         raise OrderingError(f"require s < t, got s={s}, t={t}")
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or y <= 0.0:
-        raise ParameterDomainError("states must be strictly positive")
+    _check_all_positive("x", x)
+    _check_positive("y", y)
     var = p.sigma**2 * (t - s)
     rate = math.log(p.alpha) - 0.5 * p.sigma**2
     z = np.log(x) - _log_mean(math.log(y), t, s, p.eta, p.alpha, rate)
@@ -126,7 +131,7 @@ def mean(t, p: ProcessParams):
 
 
 def conditional_mean(t, y: float, s: float, eta: float, alpha: float):
-    """E[X(t) | X(s) = y] for t >= s: the Hubbert curve through (s, y)."""
+    """E[X(t) | X(s) = y] for finite t >= s: the Hubbert curve through (s, y)."""
     curve = CurveParams(eta, alpha, y, s)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < s):
@@ -147,8 +152,7 @@ def finite_dim_params(times, p: ProcessParams) -> tuple[np.ndarray, np.ndarray]:
         raise OrderingError("times must be strictly increasing")
     if np.any(times < p.t0):
         raise OrderingError("all times must be >= t0")
-    if not np.all(np.isfinite(times)):
-        raise ParameterDomainError(f"times must be finite, got {times}")
+    _check_all_finite("times", times)
     rate = math.log(p.alpha) - 0.5 * p.sigma**2
     mu = _log_mean(p.init.mu0, times, p.t0, p.eta, p.alpha, rate)
     cov = p.init.sigma0_sq + p.sigma**2 * (np.minimum.outer(times, times) - p.t0)

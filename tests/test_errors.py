@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hubbertfit as hf
-from hubbertfit import curve, inference, likelihood
+from hubbertfit import inference, likelihood
 from hubbertfit.bounds import SolutionBox
 from hubbertfit.errors import ParameterDomainError
 
@@ -38,6 +38,7 @@ PANEL = hf.simulate_paths(
 )
 STATS = hf.SufficientStats.from_panel(PANEL)
 INIT = hf.InitialDistribution.degenerate(100.0)
+PROCESS = hf.ProcessParams(0.1, 0.45, 0.05, INIT)
 FIT = inference.FitResult(
     theta_hat=(0.1, 0.45, 0.05), mu1_hat=math.log(100.0), sigma1_sq_hat=0.0, objective_value=0.0,
     log_likelihood=0.0, fisher=np.eye(3), cov=np.zeros((3, 3)), time_shift_k=0.0, n_obs=0, d=1,
@@ -50,7 +51,6 @@ SITES = [
     ("CurveParams.alpha", "unit", "alpha", lambda v: hf.CurveParams(0.1, v, 100.0)),
     ("CurveParams.x0", "positive", "x0", lambda v: hf.CurveParams(0.1, 0.5, v)),
     ("CurveParams.t0", "finite", "t0", lambda v: hf.CurveParams(0.1, 0.5, 100.0, v)),
-    ("logistic_value.k", "positive", "k", lambda v: curve.logistic_value(1.0, v, 0.1, 0.5)),
     ("peak_time.eta", "positive", "eta", lambda v: hf.peak_time(v, 0.5)),
     ("InitialDistribution.degenerate.x0", "positive", "x0", hf.InitialDistribution.degenerate),
     ("InitialDistribution.mu0", "finite", "the initial log-mean", lambda v: hf.InitialDistribution(v)),
@@ -59,6 +59,11 @@ SITES = [
     ("ProcessParams.eta", "positive", "eta", lambda v: hf.ProcessParams(v, 0.45, 0.05, INIT)),
     ("ProcessParams.sigma", "nonnegative", "sigma", lambda v: hf.ProcessParams(0.1, 0.45, v, INIT)),
     ("ProcessParams.t0", "finite", "t0", lambda v: hf.ProcessParams(0.1, 0.45, 0.05, INIT, v)),
+    ("transition_logpdf.s", "finite", "s", lambda v: hf.transition_logpdf(1.0, 2.0, 1.0, v, PROCESS)),
+    ("transition_logpdf.t", "finite", "t", lambda v: hf.transition_logpdf(1.0, v, 1.0, 1.0, PROCESS)),
+    ("transition_logpdf.x", "positive", "x", lambda v: hf.transition_logpdf(v, 2.0, 1.0, 1.0, PROCESS)),
+    ("transition_logpdf.y", "positive", "y", lambda v: hf.transition_logpdf(1.0, 2.0, v, 1.0, PROCESS)),
+    ("hubbert_value.t", "finite", "t", lambda v: hf.hubbert_value(v, hf.CurveParams(0.1, 0.5, 100.0))),
     ("eta_alpha_sums.eta", "positive", "eta", lambda v: hf.eta_alpha_sums(STATS, v, 0.5)),
     ("eta_alpha_sums.alpha", "unit", "alpha", lambda v: hf.eta_alpha_sums(STATS, 0.1, v)),
     ("objective.eta", "positive", "eta", lambda v: hf.objective(STATS, v, 0.45, 0.01)),
@@ -74,6 +79,8 @@ SITES = [
     ("alpha1.urr", "positive", "urr", lambda v: hf.alpha1(100.0, v)),
     ("alpha2.c", "positive", "c", lambda v: hf.alpha2(v, 1e5, 0.0, 10.0)),
     ("alpha2.urr", "positive", "urr", lambda v: hf.alpha2(100.0, v, 0.0, 10.0)),
+    ("alpha2.t0", "finite", "t0", lambda v: hf.alpha2(100.0, 1e5, v, 10.0)),
+    ("alpha2.tF", "finite", "tF", lambda v: hf.alpha2(100.0, 1e5, 0.0, v)),
     ("build_box.sigma_cap", "positive", "sigma_cap", lambda v: hf.build_box(PANEL, sigma_cap=v)),
     ("fisher_information.eta", "positive", "eta", lambda v: hf.fisher_information((v, 0.45, 0.05), STATS)),
     ("fisher_information.sigma", "positive", "sigma", lambda v: hf.fisher_information((0.1, 0.45, v), STATS)),
@@ -111,10 +118,28 @@ def test_every_site_raises_its_rule_message(rule, name, call, value):
     pytest.param(lambda: hf.alpha1(math.inf, 1e5), id="alpha1"),
     pytest.param(lambda: hf.SAConfig(t_final=math.inf), id="SAConfig"),
     pytest.param(lambda: hf.objective(STATS, 0.1, 0.45, math.inf), id="objective"),
-    pytest.param(lambda: curve.logistic_value(1.0, math.inf, 0.1, 0.5), id="logistic_value"),
 ])
 def test_infinite_values_that_passed_are_refused(call):
     with pytest.raises(ParameterDomainError, match="must be positive and finite, got inf"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    # each returned NaN, -inf or the uncapped alpha range 1.0 without a word
+    pytest.param(lambda: hf.transition_logpdf(math.nan, 2.0, 1.0, 1.0, PROCESS), id="transition_logpdf-x"),
+    pytest.param(lambda: hf.transition_logpdf(1.0, math.inf, 1.0, 1.0, PROCESS), id="transition_logpdf-t"),
+    pytest.param(lambda: hf.transition_logpdf(1.0, 2.0, 1.0, -math.inf, PROCESS), id="transition_logpdf-s"),
+    pytest.param(lambda: hf.transition_logpdf(1.0, 2.0, math.inf, 1.0, PROCESS), id="transition_logpdf-y"),
+    pytest.param(lambda: hf.transition_logpdf([1.0, math.nan], 2.0, 1.0, 1.0, PROCESS), id="transition_logpdf-x-array"),
+    pytest.param(lambda: hf.hubbert_value(math.nan, hf.CurveParams(0.1, 0.45, 100.0)), id="hubbert_value"),
+    pytest.param(lambda: hf.hubbert_value([1.0, math.inf], hf.CurveParams(0.1, 0.45, 100.0)), id="hubbert_value-array"),
+    pytest.param(lambda: hf.conditional_mean(math.nan, 100.0, 0.0, 0.1, 0.45), id="conditional_mean"),
+    pytest.param(lambda: hf.conditional_mean([1.0, math.inf], 100.0, 0.0, 0.1, 0.45), id="conditional_mean-array"),
+    pytest.param(lambda: hf.mean(math.nan, PROCESS), id="mean"),
+    pytest.param(lambda: hf.alpha2(100.0, 1e5, 0.0, math.inf), id="alpha2"),
+])
+def test_non_finite_values_that_passed_are_refused(call):
+    with pytest.raises(ParameterDomainError, match="must be (positive and )?finite, got"):
         call()
 
 

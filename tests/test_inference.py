@@ -3,12 +3,13 @@ import importlib.util
 import itertools
 import math
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 import hubbertfit as hf
-from hubbertfit import inference, likelihood
+from hubbertfit import curve, errors, inference, likelihood
 from hubbertfit.bounds import SolutionBox
 from hubbertfit.datasets import KAZAKHSTAN_URR, NORWAY_URR, load_kazakhstan, load_norway
 from hubbertfit.errors import ConditioningError, OrderingError, ParameterDomainError
@@ -181,6 +182,20 @@ def test_asymptotic_cov_inverts():
     np.testing.assert_allclose(cov, np.diag([1 / 4.0, 1 / 9.0, 1 / 256.0]))
 
 
+@pytest.mark.parametrize("panel, urr", [
+    pytest.param(lambda: reference_panel(1), None, id="ref-panel-seed1"),
+    pytest.param(load_norway, NORWAY_URR, id="norway-urr"),
+    pytest.param(load_kazakhstan, KAZAKHSTAN_URR, id="kazakhstan-urr"),
+])
+def test_asymptotic_cov_is_the_jacobian_product(panel, urr):
+    # the row and column scale gives jac @ inv(info) @ jac's bytes
+    fit = hf.fit(panel(), urr=urr)
+    jac = np.diag([1.0, 1.0, 1.0 / (2.0 * fit.theta_hat[2])])
+    want = jac @ np.linalg.inv(fit.fisher) @ jac
+    assert hf.asymptotic_cov(fit.fisher, fit.theta_hat[2]).tobytes() == want.tobytes()
+    assert fit.cov.tobytes() == want.tobytes()
+
+
 def test_asymptotic_cov_rejects_singular():
     with pytest.raises(ConditioningError):
         hf.asymptotic_cov(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 0.5)
@@ -338,6 +353,28 @@ def test_forecast_bands_symmetric_and_ordered():
     assert np.all(wider.upper - wider.lower > fc.upper - fc.lower)
 
 
+def test_forecast_point_and_band_are_the_public_formulas():
+    # forecast shares one conditional mean between its point and its band
+    fit = hf.fit(load_norway(), urr=NORWAY_URR)
+    (eta, alpha, _), k = fit.theta_hat, fit.time_shift_k
+    times = np.arange(2015.0, 2041.0)
+    fc = hf.forecast(fit, 2014.0, 1568.0, times)
+    point = hf.conditional_mean(times - k, 1568.0, 2014.0 - k, eta, alpha)
+    grad = inference.conditional_mean_gradient(eta, alpha, 1568.0, 2014.0 - k, times - k)
+    half = NormalDist().inv_cdf(0.975) * hf.delta_error(grad, fit.cov)
+    assert fc.point.tobytes() == point.tobytes()
+    assert fc.lower.tobytes() == (point - half).tobytes()
+    assert fc.upper.tobytes() == (point + half).tobytes()
+
+
+def test_forecast_checks_its_horizon_once(monkeypatch):
+    checked = []
+    for module in (curve, errors, inference):
+        monkeypatch.setattr(module, "_check_all_finite", lambda name, values: checked.append(name))
+    hf.forecast(synthetic_fit(0.1, 0.45, 0.05, 0.0), 10.0, 5.0, [11.0, 12.0])
+    assert checked == ["horizon times"]
+
+
 def test_forecast_validation():
     fit = synthetic_fit(0.1, 0.45, 0.05, 0.0)
     with pytest.raises(OrderingError):
@@ -408,6 +445,19 @@ def test_fit_log_likelihood_is_at_the_objective_sigma_sq():
     panel = hf.simulate_paths(p, hf.PathGrid(np.arange(0.0, 21.0)), 5, 1)
     fit = hf.fit(panel, sigma_cap=0.07319)
     assert fit.log_likelihood == -SufficientStats.from_panel(panel).log_lik_offset - fit.objective_value
+
+
+@pytest.mark.parametrize("algorithm", ["profile", "sa"])
+@pytest.mark.parametrize("sigma0_sq", [0.0, 0.01])
+def test_fit_log_likelihood_is_log_likelihood_at_theta_hat(algorithm, sigma0_sq):
+    # fit takes it from the search's objective value instead of a second kernel pass
+    p = hf.ProcessParams(eta=0.1, alpha=0.45, sigma=0.05, init=hf.InitialDistribution(math.log(100.0), sigma0_sq))
+    panel = hf.simulate_paths(p, hf.PathGrid(np.arange(0.0, 21.0)), 10, 4)
+    fit = hf.fit(panel, seed=2, algorithm=algorithm, sa_config=FAST_SA)
+    eta, alpha, sigma = fit.theta_hat
+    want = hf.log_likelihood(panel, fit.mu1_hat, fit.sigma1_sq_hat, eta, alpha, sigma * sigma)
+    assert (fit.sigma1_sq_hat > 0.0) == (sigma0_sq > 0.0)
+    assert repr(fit.log_likelihood) == repr(want)
 
 
 def test_unconditional_peak_refuses_an_overflowing_initial_mean():

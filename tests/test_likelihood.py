@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -355,6 +355,9 @@ def test_pair_sums_memo_never_returns_stale_sums():
         lambda s, eta, alpha: profile_pass(s, eta, alpha, sigma_range),
         lambda s, eta, alpha: hf.eta_alpha_sums(s, eta, alpha),
         lambda s, eta, alpha: hf.log_likelihood(s, 4.6, 0.0, eta, alpha, 0.0025),
+        # a shifted copy of stats whose memo is populated starts with an empty one
+        lambda s, eta, alpha: hf.eta_alpha_sums(s.shifted(0.5), eta, alpha),
+        lambda s, eta, alpha: profile_pass(s.shifted(-1.0), eta, alpha, sigma_range),
     ]
     points = [(0.1, 0.45), (0.1, 0.45), (0.2, 0.45), (0.1, 0.5), (0.1, 0.45)]
     order = [0, 1, 0, 0, 1, 1, 1]  # alternating and repeated panels
@@ -363,6 +366,18 @@ def test_pair_sums_memo_never_returns_stale_sums():
         i = order[step % len(order)]
         fresh = SufficientStats.from_panel(panels[i])
         assert call(stats[i], eta, alpha) == call(fresh, eta, alpha)
+
+
+def test_shifted_stats_are_the_replaced_summaries():
+    # shifted copies the fields and pair_weights instead of rebuilding them
+    stats = SufficientStats.from_panel(simulated_panel(24))
+    hf.eta_alpha_sums(stats, 0.1, 0.45)
+    shifted = stats.shifted(3.0)
+    want = replace(stats, u_times=stats.u_times - 3.0)
+    for f in fields(SufficientStats):
+        assert np.asarray(getattr(shifted, f.name)).tobytes() == np.asarray(getattr(want, f.name)).tobytes()
+    assert shifted.pair_weights.tobytes() == want.pair_weights.tobytes()
+    assert shifted._pair_memo == (None, None, None)
 
 
 def test_profile_objective_runs_the_kernel_once(monkeypatch):
