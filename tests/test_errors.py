@@ -125,7 +125,8 @@ def test_infinite_values_that_passed_are_refused(call):
 
 
 @pytest.mark.parametrize("call", [
-    # each returned NaN, -inf or the uncapped alpha range 1.0 without a word
+    # each returned NaN, -inf or the uncapped alpha range 1.0 without a word:
+    # NaN passed the order and sign tests, and no time was checked for finiteness
     pytest.param(lambda: hf.transition_logpdf(math.nan, 2.0, 1.0, 1.0, PROCESS), id="transition_logpdf-x"),
     pytest.param(lambda: hf.transition_logpdf(1.0, math.inf, 1.0, 1.0, PROCESS), id="transition_logpdf-t"),
     pytest.param(lambda: hf.transition_logpdf(1.0, 2.0, 1.0, -math.inf, PROCESS), id="transition_logpdf-s"),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hubbertfit as hf
-from hubbertfit import curve, errors, inference, likelihood
+from hubbertfit import curve, inference, likelihood
 from hubbertfit.bounds import SolutionBox
 from hubbertfit.datasets import KAZAKHSTAN_URR, NORWAY_URR, load_kazakhstan, load_norway
 from hubbertfit.errors import ConditioningError, OrderingError, ParameterDomainError
@@ -369,7 +369,7 @@ def test_forecast_point_and_band_are_the_public_formulas():
 
 def test_forecast_checks_its_horizon_once(monkeypatch):
     checked = []
-    for module in (curve, errors, inference):
+    for module in (curve, inference):
         monkeypatch.setattr(module, "_check_all_finite", lambda name, values: checked.append(name))
     hf.forecast(synthetic_fit(0.1, 0.45, 0.05, 0.0), 10.0, 5.0, [11.0, 12.0])
     assert checked == ["horizon times"]

@@ -201,30 +201,6 @@ def test_finite_dim_params_refuses_non_finite_times():
         hf.finite_dim_params([0.0, 1.0, math.inf], PP)
 
 
-@pytest.mark.parametrize("x, t, y, s, message", [
-    pytest.param(math.nan, 2.0, 1.0, 1.0, "x must be positive and finite, got nan", id="x-nan"),
-    pytest.param(np.array([1.0, math.inf]), 2.0, 1.0, 1.0, "x must be positive and finite, got [ 1. inf]", id="x-inf"),
-    pytest.param(1.0, math.inf, 1.0, 1.0, "t must be finite, got inf", id="t-inf"),
-    pytest.param(1.0, 2.0, 1.0, -math.inf, "s must be finite, got -inf", id="s-inf"),
-    pytest.param(1.0, 2.0, math.nan, 1.0, "y must be positive and finite, got nan", id="y-nan"),
-    pytest.param(1.0, 2.0, math.inf, 1.0, "y must be positive and finite, got inf", id="y-inf"),
-])
-def test_transition_logpdf_refuses_non_finite_states_and_times(x, t, y, s, message):
-    # each returned NaN, or -inf for y = inf, without a word
-    with pytest.raises(ParameterDomainError) as info:
-        hf.transition_logpdf(x, t, y, s, PP)
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize("t", [math.nan, math.inf, [1.0, math.nan]], ids=["nan", "inf", "array"])
-def test_curve_and_conditional_mean_refuse_non_finite_times(t):
-    # both returned NaN: t < s is false for NaN, and nothing checked finiteness
-    with pytest.raises(ParameterDomainError, match="^t must be finite, got"):
-        hf.hubbert_value(t, hf.CurveParams(0.1, 0.45, 100.0))
-    with pytest.raises(ParameterDomainError, match="^t must be finite, got"):
-        hf.conditional_mean(t, 100.0, 0.0, 0.1, 0.45)
-
-
 def test_overflowing_initial_mean_is_inf_and_refused_downstream():
     # math.exp raised a bare OverflowError here
     init = hf.InitialDistribution(700.0, 40.0)
