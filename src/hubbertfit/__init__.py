@@ -8,6 +8,9 @@ over (eta, alpha) from three points of the box, keeping the best; the
 paper's simulated annealing and hybrid VNS-SA metaheuristic over
 (eta, alpha, sigma) remain available.  A fit warns when an estimate ends
 on an edge of the box.
+
+The imports below are the public API; a name not imported here is
+internal, even where its module defines it without an underscore.
 """
 
 from . import datasets

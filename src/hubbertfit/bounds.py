@@ -15,12 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import ETA_VISIBILITY_FACTOR
-from .errors import InfeasibleRegionError, OrderingError, ParameterDomainError, _check_finite, _check_positive
+from .errors import InfeasibleRegionError, ParameterDomainError, _check_after, _check_finite, _check_positive
 from .likelihood import PanelData
 
-__all__ = ["SolutionBox", "alpha1", "alpha2", "alpha_caps", "build_box", "ETA_UPPER"]
-
-ETA_UPPER = ETA_VISIBILITY_FACTOR  # 2 - sqrt(3) ~ 0.26795
 SIGMA_UPPER_DEFAULT = 0.1
 
 
@@ -34,7 +31,7 @@ class SolutionBox:
     clip_interior projects onto.
     """
 
-    eta_range: tuple = (0.0, ETA_UPPER)
+    eta_range: tuple = (0.0, ETA_VISIBILITY_FACTOR)
     alpha_range: tuple = (0.0, 1.0)
     sigma_range: tuple = (0.0, SIGMA_UPPER_DEFAULT)
 
@@ -88,8 +85,7 @@ def alpha2(c: float, urr: float, t0: float, tF: float) -> float:
     """
     _check_finite("t0", t0)
     _check_finite("tF", tF)
-    if not tF > t0:
-        raise OrderingError(f"require tF > t0, got t0={t0}, tF={tF}")
+    _check_after("tF", tF, "t0", t0)
     _check_positive("urr", urr)
     _check_positive("c", c)
     if c >= urr:
@@ -136,7 +132,7 @@ def build_box(
     _check_positive("sigma_cap", sigma_cap)
     alpha_star = 1.0 if urr is None else min(alpha_caps(data, urr))
     return SolutionBox(
-        eta_range=(0.0, ETA_UPPER),
+        eta_range=(0.0, ETA_VISIBILITY_FACTOR),
         alpha_range=(0.0, alpha_star),
         sigma_range=(0.0, sigma_cap),
     )

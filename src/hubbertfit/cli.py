@@ -196,10 +196,6 @@ def cmd_simulate(args) -> int:
     init = InitialDistribution.degenerate(args.x0)
     params = ProcessParams(eta=args.eta, alpha=args.alpha, sigma=args.sigma, init=init, t0=args.t0)
     panel = simulate_paths(params, PathGrid(times), args.n_paths, args.seed)
-    if args.subsample:
-        offset = np.mod(times - args.t0, 1.0)
-        keep = np.isclose(offset, 0.0) | np.isclose(offset, 1.0)
-        panel = PanelData(times=[t[keep] for t in panel.times], values=[v[keep] for v in panel.values])
     datasets.write_panel_csv(args.out, panel)
     return 0
 
@@ -350,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--step", type=float, default=0.1)
     sim.add_argument("--n-paths", type=int, default=50)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--subsample", action="store_true",
-                     help="keep only integer-offset times (step 1)")
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 

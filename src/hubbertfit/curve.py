@@ -18,19 +18,12 @@ import numpy as np
 
 from .errors import ParameterDomainError, _check_all_finite, _check_finite, _check_positive
 
-__all__ = [
-    "CurveParams",
-    "hubbert_value",
-    "peak_time",
-    "peak_value",
-    "inflection_times",
-    "urr",
-    "shift_parameters",
-]
-
 # Visibility threshold for the first inflection point: t_inf1 > t0 iff
 # eta < alpha^t0 * (2 - sqrt(3)).
 ETA_VISIBILITY_FACTOR = 2.0 - math.sqrt(3.0)
+
+# exp(x) overflows exactly where x > ln(DBL_MAX)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _check_eta_alpha(eta: float, alpha: float) -> None:
@@ -44,6 +37,14 @@ def _check_eta_alpha(eta: float, alpha: float) -> None:
 def alpha_pow(alpha: float, t):
     """alpha^t computed in the log domain. Accepts scalar or array t."""
     return np.exp(np.multiply(t, math.log(alpha)))
+
+
+def _alpha_pow_nonzero(alpha: float, t0: float):
+    """alpha^t0 for a peak formula, which divides by it: refused where it underflows to 0."""
+    a_t0 = alpha_pow(alpha, t0)
+    if a_t0 == 0.0:
+        raise ParameterDomainError(f"alpha^t0 underflows to 0 at alpha={alpha}, t0={t0}")
+    return a_t0
 
 
 def _log_mean(log_x0: float, t, t0: float, eta: float, alpha: float, rate: float):
@@ -63,7 +64,8 @@ class CurveParams:
     eta is dimensionless, alpha is a per-time-unit decay base in (0, 1),
     x0 the production rate at the initial time t0.  The time unit is
     whatever the data uses (years in the oil applications); alpha's
-    meaning depends on that unit.
+    meaning depends on that unit.  alpha^t0 must not overflow: ln(eta +
+    alpha^t0) would be inf, and every curve value inf or NaN.
     """
 
     eta: float
@@ -75,6 +77,8 @@ class CurveParams:
         _check_eta_alpha(self.eta, self.alpha)
         _check_positive("x0", self.x0)
         _check_finite("t0", self.t0)
+        if self.t0 * math.log(self.alpha) > _LOG_MAX:
+            raise ParameterDomainError(f"alpha^t0 overflows at alpha={self.alpha}, t0={self.t0}")
 
 
 def hubbert_value(t, p: CurveParams):
@@ -97,9 +101,10 @@ def peak_time(eta: float, alpha: float) -> float:
 def peak_value(p: CurveParams) -> float:
     """Maximum production rate x0*(eta + alpha^t0)^2 / (4*eta*alpha^t0).
 
-    By AM-GM this is >= x0, with equality iff eta = alpha^t0.
+    By AM-GM this is >= x0, with equality iff eta = alpha^t0.  An alpha^t0
+    that underflows to 0 is refused.
     """
-    a_t0 = alpha_pow(p.alpha, p.t0)
+    a_t0 = _alpha_pow_nonzero(p.alpha, p.t0)
     return p.x0 * (p.eta + a_t0) ** 2 / (4.0 * p.eta * a_t0)
 
 

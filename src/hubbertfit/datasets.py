@@ -25,15 +25,6 @@ import numpy as np
 from .errors import DataFormatError
 from .likelihood import PanelData
 
-__all__ = [
-    "load_panel_csv",
-    "write_panel_csv",
-    "load_norway",
-    "load_kazakhstan",
-    "NORWAY_URR",
-    "KAZAKHSTAN_URR",
-]
-
 # Calibrated so the bounding step reproduces alpha* = 0.8724 (Norway,
 # full 1980-2014 window) and 0.9603 (Kazakhstan) on the snapshots.
 NORWAY_URR = 83347.40

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the count, scalar and array rules that raise one."""
+"""Exception types shared across the package, and the count, scalar, array and time-ordering rules that raise one."""
 
 import math
 import numbers
@@ -66,3 +66,21 @@ def _check_nonnegative(name: str, value) -> None:
 def _check_unit_interval(name: str, value) -> None:
     if not 0.0 < value < 1.0:
         raise ParameterDomainError(f"{name} must lie in (0, 1), got {value}")
+
+
+def _check_increasing(name: str, times) -> None:
+    """Every step of times must be positive; a NaN time fails."""
+    if not (np.diff(times) > 0.0).all():
+        raise OrderingError(f"{name} must be strictly increasing")
+
+
+def _check_after(name: str, times, origin_name: str, origin) -> None:
+    """Every element of times must lie strictly after origin; a NaN fails."""
+    if not np.greater(times, origin).all():
+        raise OrderingError(f"{name} must lie strictly after {origin_name} = {origin}, got {times}")
+
+
+def _check_not_before(name: str, times, origin_name: str, origin) -> None:
+    """No element of times may lie before origin; a NaN passes, for the site's finiteness rule."""
+    if np.less(times, origin).any():
+        raise OrderingError(f"{name} must not lie before {origin_name} = {origin}, got {times}")

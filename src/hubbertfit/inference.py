@@ -25,26 +25,12 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import likelihood as lik
 from . import optimize as opt
-from .curve import CurveParams, _check_eta_alpha, _hubbert_value, alpha_pow, peak_time, peak_value, shift_parameters
-from .errors import ConditioningError, OrderingError, ParameterDomainError, _check_count
-from .errors import _check_all_finite, _check_finite, _check_positive, _check_unit_interval
+from .curve import CurveParams, _alpha_pow_nonzero, _check_eta_alpha, _hubbert_value, peak_time, peak_value
+from .curve import shift_parameters
+from .errors import ConditioningError, ParameterDomainError, _check_after, _check_all_finite, _check_count
+from .errors import _check_finite, _check_positive, _check_unit_interval
 from .likelihood import PanelData, SufficientStats
 from .process import InitialDistribution, conditional_mean
-
-__all__ = [
-    "FitResult",
-    "Forecast",
-    "PeakEstimate",
-    "fisher_information",
-    "asymptotic_cov",
-    "delta_error",
-    "peak_time_gradient",
-    "peak_gradient",
-    "conditional_mean_gradient",
-    "estimate_peak",
-    "forecast",
-    "fit",
-]
 
 _COND_LIMIT = 1e12
 
@@ -130,9 +116,10 @@ def peak_gradient(eta: float, alpha: float, y: float, s: float) -> np.ndarray:
     """Gradient of the peak value y*(eta+alpha^s)^2/(4*eta*alpha^s).
 
     The expression is symmetric in (eta, alpha^s), which gives matching
-    signs on the two partials; the sigma component is zero.
+    signs on the two partials; the sigma component is zero.  An alpha^s
+    that underflows to 0 is refused.
     """
-    a = alpha_pow(alpha, s)
+    a = _alpha_pow_nonzero(alpha, s)
     d_eta = y * (eta + a) * (eta - a) / (4.0 * eta**2 * a)
     d_a = y * (eta + a) * (a - eta) / (4.0 * eta * a**2)
     return np.array([d_eta, d_a * s * a / alpha, 0.0])
@@ -283,8 +270,7 @@ def forecast(
     _check_finite("s", s)
     times = np.atleast_1d(np.asarray(horizon_times, dtype=float))
     _check_all_finite("horizon times", times)
-    if np.any(times <= s):
-        raise OrderingError("all horizon times must lie strictly after s")
+    _check_after("horizon times", times, "s", s)
     _check_positive("x_s", x_s)
     _require_cov(fit, "forecast bands")
     eta, alpha, _ = fit.theta_hat

@@ -25,18 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import _check_eta_alpha, alpha_pow
-from .errors import OrderingError, ParameterDomainError, _check_finite, _check_nonnegative, _check_positive
-
-__all__ = [
-    "PanelData",
-    "SufficientStats",
-    "initial_mle",
-    "eta_alpha_sums",
-    "log_likelihood",
-    "objective",
-    "profile_pass",
-    "INFEASIBLE",
-]
+from .errors import OrderingError, ParameterDomainError, _check_finite, _check_increasing, _check_nonnegative
+from .errors import _check_positive
 
 # Objective value returned where the data term is not finite (alpha^t
 # overflowing at negative times); optimizers treat it as an
@@ -78,8 +68,7 @@ class PanelData:
         for i, (t, v) in enumerate(zip(times, values)):
             if t.shape != v.shape or t.ndim != 1 or t.size < 2:
                 raise ParameterDomainError(f"path {i}: times and values must be 1-d, equal length >= 2")
-            if not (np.diff(t) > 0.0).all():
-                raise OrderingError(f"path {i}: times must be strictly increasing")
+            _check_increasing(f"path {i}: times", t)
             if not (v > 0.0).all():
                 raise ParameterDomainError(f"path {i}: values must be positive")
             if not (np.isfinite(t).all() and np.isfinite(v).all()):

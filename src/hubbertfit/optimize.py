@@ -20,20 +20,6 @@ import numpy as np
 from .bounds import SolutionBox
 from .errors import InitializationError, ParameterDomainError, _check_count, _check_positive, _check_unit_interval
 
-__all__ = [
-    "SAConfig",
-    "VNSConfig",
-    "Candidate",
-    "SAResult",
-    "VNSResult",
-    "initial_temperature",
-    "metropolis_step",
-    "simulated_annealing",
-    "vns_neighborhood",
-    "vns_sa",
-    "multistart",
-]
-
 # Proposal half-width at the initial temperature, as a fraction of each
 # box width; shrinks proportionally to T/T0 as the system cools.
 PROPOSAL_FRACTION = 0.1

@@ -21,20 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import CurveParams, _check_eta_alpha, _log_mean, hubbert_value
-from .errors import OrderingError, _check_all_finite, _check_all_positive, _check_count, _check_finite, _check_nonnegative
-from .errors import _check_positive
+from .errors import OrderingError, _check_after, _check_all_finite, _check_all_positive, _check_count, _check_finite
+from .errors import _check_increasing, _check_nonnegative, _check_not_before, _check_positive
 from .likelihood import PanelData, _check_initial
-
-__all__ = [
-    "InitialDistribution",
-    "ProcessParams",
-    "PathGrid",
-    "transition_logpdf",
-    "mean",
-    "conditional_mean",
-    "finite_dim_params",
-    "simulate_paths",
-]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -95,8 +84,7 @@ class PathGrid:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise OrderingError("grid needs at least two time points")
-        if not np.all(np.diff(times) > 0.0):
-            raise OrderingError("grid times must be strictly increasing")
+        _check_increasing("grid times", times)
         _check_all_finite("grid times", times)
         object.__setattr__(self, "times", times)
 
@@ -113,8 +101,7 @@ def transition_logpdf(x, t: float, y: float, s: float, p: ProcessParams):
     _check_positive("sigma", p.sigma)
     _check_finite("s", s)
     _check_finite("t", t)
-    if not s < t:
-        raise OrderingError(f"require s < t, got s={s}, t={t}")
+    _check_after("t", t, "s", s)
     x = np.asarray(x, dtype=float)
     _check_all_positive("x", x)
     _check_positive("y", y)
@@ -134,8 +121,7 @@ def conditional_mean(t, y: float, s: float, eta: float, alpha: float):
     """E[X(t) | X(s) = y] for finite t >= s: the Hubbert curve through (s, y)."""
     curve = CurveParams(eta, alpha, y, s)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < s):
-        raise OrderingError(f"require t >= s, got t={t}, s={s}")
+    _check_not_before("t", t_arr, "s", s)
     out = hubbert_value(t_arr, curve)
     return out if out.ndim else float(out)
 
@@ -148,10 +134,8 @@ def finite_dim_params(times, p: ProcessParams) -> tuple[np.ndarray, np.ndarray]:
     sig_ij = sigma0^2 + sigma^2*(min(t_i, t_j) - t0)
     """
     times = np.asarray(times, dtype=float)
-    if times.size and not np.all(np.diff(times) > 0.0):
-        raise OrderingError("times must be strictly increasing")
-    if np.any(times < p.t0):
-        raise OrderingError("all times must be >= t0")
+    _check_increasing("times", times)
+    _check_not_before("times", times, "t0", p.t0)
     _check_all_finite("times", times)
     rate = math.log(p.alpha) - 0.5 * p.sigma**2
     mu = _log_mean(p.init.mu0, times, p.t0, p.eta, p.alpha, rate)

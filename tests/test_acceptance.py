@@ -278,7 +278,7 @@ def test_criterion_7_optimizer_contracts():
 def test_criterion_8_determinism(tmp_path):
     issues = []
     args = ["simulate", "--eta", "0.1", "--alpha", "0.45", "--sigma", "0.05",
-            "--t-final", "20", "--n-paths", "5", "--seed", "4", "--subsample"]
+            "--t-final", "20", "--step", "1", "--n-paths", "5", "--seed", "4"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0

@@ -8,7 +8,8 @@ import pytest
 
 import hubbertfit as hf
 from hubbertfit import datasets
-from hubbertfit.bounds import ETA_UPPER, alpha_caps, cumulative_trapezoid
+from hubbertfit.bounds import alpha_caps, cumulative_trapezoid
+from hubbertfit.curve import ETA_VISIBILITY_FACTOR
 from hubbertfit.errors import InfeasibleRegionError, OrderingError, ParameterDomainError
 
 TABLE = Path(__file__).parent / "data" / "alpha_bounds_table.csv"
@@ -95,7 +96,7 @@ def test_build_box_fallback_without_urr():
     panel = hf.PanelData(times=[np.array([0.0, 1.0])], values=[np.array([1.0, 2.0])])
     box = hf.build_box(panel)
     assert box.alpha_range == (0.0, 1.0)
-    assert box.eta_range == (0.0, ETA_UPPER)
+    assert box.eta_range == (0.0, ETA_VISIBILITY_FACTOR)
     assert box.sigma_range == (0.0, 0.1)
 
 
@@ -141,7 +142,7 @@ def test_kazakhstan_snapshot_alpha_cap():
 
 
 def test_eta_upper_value():
-    assert ETA_UPPER == pytest.approx(2.0 - math.sqrt(3.0), abs=0.0)
+    assert hf.SolutionBox().eta_range[1] == ETA_VISIBILITY_FACTOR == pytest.approx(2.0 - math.sqrt(3.0), abs=0.0)
 
 
 def test_box_contains_and_clip():

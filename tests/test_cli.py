@@ -26,13 +26,13 @@ def write_config(tmp_path, extra=None):
     return str(path)
 
 
-def simulate(tmp_path, name="sim.csv", extra=()):
+def simulate(tmp_path, name="sim.csv"):
     out = tmp_path / name
     code = main(
         [
             "simulate", "--eta", "0.1", "--alpha", "0.45", "--sigma", "0.05",
-            "--t-final", "20", "--n-paths", "5", "--seed", "7",
-            "--out", str(out), *extra,
+            "--t-final", "20", "--step", "1", "--n-paths", "5", "--seed", "7",
+            "--out", str(out),
         ]
     )
     assert code == 0
@@ -43,13 +43,6 @@ def test_simulate_deterministic_byte_for_byte(tmp_path):
     a = simulate(tmp_path, "a.csv")
     b = simulate(tmp_path, "b.csv")
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_simulate_subsample_grid(tmp_path):
-    out = simulate(tmp_path, extra=("--subsample",))
-    panel = datasets.load_panel_csv(out)
-    assert panel.d == 5
-    np.testing.assert_array_equal(panel.times[0], np.arange(0.0, 21.0))
 
 
 def test_simulate_default_protocol_shape(tmp_path):
@@ -179,7 +172,7 @@ def test_missing_data_file_exit_code(capsys):
 
 
 def test_fit_and_forecast_workflow(tmp_path, capsys):
-    data = simulate(tmp_path, extra=("--subsample",))
+    data = simulate(tmp_path)
     cfg = write_config(tmp_path)
     fit_out = tmp_path / "fit.json"
     code = main(
@@ -211,7 +204,7 @@ def test_fit_and_forecast_workflow(tmp_path, capsys):
 
 
 def test_fit_deterministic(tmp_path):
-    data = simulate(tmp_path, extra=("--subsample",))
+    data = simulate(tmp_path)
     cfg = write_config(tmp_path)
     outs = []
     for name in ("f1.json", "f2.json"):
@@ -224,7 +217,7 @@ def test_fit_deterministic(tmp_path):
 
 
 def test_fit_conditional_peak(tmp_path):
-    data = simulate(tmp_path, extra=("--subsample",))
+    data = simulate(tmp_path)
     cfg = write_config(tmp_path)
     out = tmp_path / "fit.json"
     assert main(
@@ -239,7 +232,7 @@ def test_fit_conditional_peak(tmp_path):
 
 
 def test_fit_peak_flags_must_pair(tmp_path, capsys):
-    data = simulate(tmp_path, extra=("--subsample",))
+    data = simulate(tmp_path)
     code = main(
         ["fit", "--data", str(data), "--config", write_config(tmp_path),
          "--seed", "2", "--peak-x", "150"]
@@ -248,7 +241,7 @@ def test_fit_peak_flags_must_pair(tmp_path, capsys):
 
 
 def test_fit_config_unknown_key_exit_code(tmp_path, capsys):
-    data = simulate(tmp_path, extra=("--subsample",))
+    data = simulate(tmp_path)
     for bad in ({"sa": {"chain_lenght": 10}}, {"vns": {"k_max": 2, "kmax": 3}}, {"sa": [10]}):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
@@ -261,7 +254,7 @@ def test_fit_config_unknown_key_exit_code(tmp_path, capsys):
 
 
 def test_fit_config_value_type_exit_code(tmp_path, capsys):
-    data = simulate(tmp_path, extra=("--subsample",))
+    data = simulate(tmp_path)
     bad_configs = (
         {"sa": {"chain_length": "ten"}},
         {"sa": {"chain_length": 2.5}},
@@ -284,7 +277,7 @@ def test_fit_config_value_type_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [{"sa": {"stall_window": 0}}, {"sa": {"stall_window": -3}}])
 def test_fit_config_out_of_range_count_exits_1(tmp_path, capsys, bad):
     # an integer of the right type but outside its domain is a domain error
-    data = simulate(tmp_path, extra=("--subsample",))
+    data = simulate(tmp_path)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     capsys.readouterr()
@@ -295,7 +288,7 @@ def test_fit_config_out_of_range_count_exits_1(tmp_path, capsys, bad):
 
 
 def test_fit_config_float_field_takes_integer(tmp_path, capsys):
-    data = simulate(tmp_path, extra=("--subsample",))
+    data = simulate(tmp_path)
     cfg = write_config(tmp_path, {"sa": {"chain_length": 10, "t_final": 50, "probe_count": 20}})
     assert main(["fit", "--data", str(data), "--config", cfg, "--seed", "1"]) == 0
 
@@ -347,7 +340,7 @@ def test_negative_seed_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_fit_algorithm_choice(tmp_path):
-    data = simulate(tmp_path, extra=("--subsample",))
+    data = simulate(tmp_path)
     cfg = write_config(tmp_path)
     docs = {}
     for algorithm in (None, "vns-sa"):
@@ -392,7 +385,7 @@ def test_fit_peak_pair_checked_before_fit(capsys, monkeypatch):
 @pytest.fixture(scope="module")
 def fit_file(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fit")
-    data = simulate(tmp, extra=("--subsample",))
+    data = simulate(tmp)
     out = tmp / "fit.json"
     assert main(["fit", "--data", str(data), "--config", write_config(tmp),
                  "--seed", "1", "--out", str(out)]) == 0
@@ -521,7 +514,7 @@ def test_fit_singular_information_exits_1(tmp_path, capsys, monkeypatch):
     # a singular Fisher matrix leaves the fit with NaN cov, so the peak
     # block of the fit document has no standard errors to report
     monkeypatch.setattr("hubbertfit.inference._fisher", lambda stats, sums, alpha, sigma: np.ones((3, 3)))
-    data = simulate(tmp_path, extra=("--subsample",))
+    data = simulate(tmp_path)
     out = tmp_path / "fit.json"
     code = main(["fit", "--data", str(data), "--config", write_config(tmp_path),
                  "--seed", "1", "--out", str(out)])
@@ -531,7 +524,7 @@ def test_fit_singular_information_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_forecast_horizon_before_s(tmp_path, capsys):
-    data = simulate(tmp_path, extra=("--subsample",))
+    data = simulate(tmp_path)
     out = tmp_path / "fit.json"
     main(["fit", "--data", str(data), "--config", write_config(tmp_path),
           "--seed", "1", "--out", str(out)])
@@ -541,7 +534,7 @@ def test_forecast_horizon_before_s(tmp_path, capsys):
 
 
 def test_forecast_single_year(tmp_path, capsys):
-    data = simulate(tmp_path, extra=("--subsample",))
+    data = simulate(tmp_path)
     out = tmp_path / "fit.json"
     main(["fit", "--data", str(data), "--config", write_config(tmp_path),
           "--seed", "1", "--out", str(out)])
@@ -676,7 +669,7 @@ def test_digits_rounding(capsys):
 
 
 def test_forecast_from_singular_fit_exits_1(tmp_path, capsys):
-    data = simulate(tmp_path, extra=("--subsample",))
+    data = simulate(tmp_path)
     out = tmp_path / "fit.json"
     main(["fit", "--data", str(data), "--config", write_config(tmp_path),
           "--seed", "1", "--out", str(out)])
@@ -697,3 +690,26 @@ def test_cli_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("peak_s", ["-5000", "8000"])
+def test_fit_peak_point_where_alpha_power_leaves_the_floats_exits_1(tmp_path, capsys, peak_s):
+    # alpha^s overflowed (-5000) or underflowed to 0 (8000): the document held NaN or inf, exit 0
+    out = tmp_path / "fit.json"
+    argv = ["fit", "--data", "norway", "--urr", str(datasets.NORWAY_URR),
+            "--peak-x", "100", "--peak-s", peak_s, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: alpha^t0 ")
+    assert not out.exists()
+
+
+def test_forecast_from_a_point_where_alpha_power_overflows_exits_1(tmp_path, capsys):
+    # forecast once printed inf,nan,nan rows and exited 0
+    fit_path = tmp_path / "fit.json"
+    assert main(["fit", "--data", "norway", "--urr", str(datasets.NORWAY_URR), "--out", str(fit_path)]) == 0
+    capsys.readouterr()
+    assert main(["forecast", "--fit", str(fit_path), "--s", "-5000", "--x-s", "100",
+                 "--from", "-4999", "--to", "-4995"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: alpha^t0 overflows")

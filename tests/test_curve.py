@@ -162,3 +162,41 @@ def test_curve_refuses_non_finite_anchor(x0, t0):
 def test_alpha_power_underflows_to_zero():
     assert alpha_pow(0.5, 10000.0) == 0.0
     assert np.isfinite(hf.hubbert_value(10000.0, P))
+
+
+def test_curve_refuses_an_overflowing_alpha_power():
+    # alpha^t0 = inf made ln(eta + alpha^t0) inf: peak_value and urr of this curve returned NaN
+    with pytest.raises(ParameterDomainError) as info:
+        hf.CurveParams(0.1, 0.5, 1.0, -5000.0)
+    assert str(info.value) == "alpha^t0 overflows at alpha=0.5, t0=-5000.0"
+
+
+def test_overflow_refusal_is_exactly_where_alpha_power_overflows():
+    edge = math.log(np.finfo(float).max) / math.log(0.5)
+    t0s = [edge]
+    for _ in range(3):  # three more floats on each side of the edge
+        t0s = [float(np.nextafter(t0s[0], 0.0)), *t0s, float(np.nextafter(t0s[-1], -math.inf))]
+    with np.errstate(over="ignore"):
+        overflows = [bool(np.isinf(alpha_pow(0.5, t0))) for t0 in t0s]
+    assert not overflows[0] and overflows[-1]
+    for t0, over in zip(t0s, overflows):
+        if over:
+            with pytest.raises(ParameterDomainError, match="overflows"):
+                hf.CurveParams(0.1, 0.5, 1.0, t0)
+        else:
+            hf.CurveParams(0.1, 0.5, 1.0, t0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: hf.peak_value(p),
+    lambda p: hf.urr(p),
+    lambda p: hf.inference.peak_gradient(p.eta, p.alpha, p.x0, p.t0),
+], ids=["peak_value", "urr", "peak_gradient"])
+def test_peak_formulas_refuse_an_alpha_power_that_underflows_to_zero(call):
+    # they divide by alpha^t0: peak_value once returned inf with numpy's divide-by-zero warning
+    p = hf.CurveParams(0.1, 0.5, 1.0, 8000.0)
+    with pytest.raises(ParameterDomainError) as info:
+        call(p)
+    assert str(info.value) == "alpha^t0 underflows to 0 at alpha=0.5, t0=8000.0"
+    # the curve itself stays defined: calendar clocks underflow alpha^t0 on purpose
+    assert hf.hubbert_value(8001.0, p) == pytest.approx(0.5, rel=1e-12)

@@ -1,7 +1,8 @@
-"""The four scalar rules of errors.py, at every site that applies one.
+"""The scalar and time-ordering rules of errors.py, at every site that applies one.
 
-Each rule raises ParameterDomainError with one fixed wording, so a site's
-message is known from its rule and the name it passes.  Infinity is
+Each scalar rule raises ParameterDomainError, and each ordering rule
+OrderingError, with one fixed wording, so a site's message is known from
+its rule and the names it passes.  Infinity is
 refused everywhere a value must be positive: an infinite eta, sigma, x0
 or cap once passed at several of these sites and turned into NaN, zeros
 or a cap of 0.0 downstream.
@@ -15,7 +16,7 @@ import pytest
 import hubbertfit as hf
 from hubbertfit import inference, likelihood
 from hubbertfit.bounds import SolutionBox
-from hubbertfit.errors import ParameterDomainError
+from hubbertfit.errors import OrderingError, ParameterDomainError
 
 MESSAGES = {
     "positive": "{name} must be positive and finite, got {value}",
@@ -145,7 +146,8 @@ def test_non_finite_values_that_passed_are_refused(call):
 
 
 def test_valid_values_pass_every_rule():
-    hf.CurveParams(1e300, 0.5, 1e300, -1e300)
+    # t0 = -1e300 would overflow alpha^t0; an underflow to 0 is legal
+    hf.CurveParams(1e300, 0.5, 1e300, 1e300)
     hf.ProcessParams(0.1, 0.45, 0.0, hf.InitialDistribution(-700.0, 0.0))
     hf.SAConfig(p0=1e-300, gamma=1.0 - 1e-16, t_final=1e-300)
 
@@ -156,3 +158,51 @@ def test_transition_logpdf_needs_positive_sigma():
     with pytest.raises(ParameterDomainError) as info:
         hf.transition_logpdf(1.0, 2.0, 1.0, 1.0, p)
     assert str(info.value) == "sigma must be positive and finite, got 0.0"
+
+
+ORDERINGS = {
+    "increasing": "{name} must be strictly increasing",
+    "after": "{name} must lie strictly after {origin}, got {value}",
+    "not before": "{name} must not lie before {origin}, got {value}",
+}
+NAN = math.nan
+
+# (site, rule, name, origin, call that breaks the rule, value it reports,
+#  call with a NaN time, the exception that NaN raises: each site keeps its check order)
+ORDERING_SITES = [
+    ("PanelData", "increasing", "path 1: times", None,
+     lambda: hf.PanelData([np.arange(3.0), np.array([0.0, 2.0, 1.0])], [np.ones(3)] * 2), None,
+     lambda: hf.PanelData([np.array([0.0, NAN, 2.0])], [np.ones(3)]), OrderingError),
+    ("PathGrid", "increasing", "grid times", None, lambda: hf.PathGrid([0.0, 1.0, 1.0]), None,
+     lambda: hf.PathGrid([0.0, NAN]), OrderingError),
+    ("finite_dim_params.increasing", "increasing", "times", None,
+     lambda: hf.finite_dim_params([2.0, 1.0], PROCESS), None,
+     lambda: hf.finite_dim_params([1.0, NAN], PROCESS), OrderingError),
+    ("transition_logpdf", "after", "t", "s = 2.0", lambda: hf.transition_logpdf(1.0, 2.0, 1.0, 2.0, PROCESS), 2.0,
+     lambda: hf.transition_logpdf(1.0, NAN, 1.0, 1.0, PROCESS), ParameterDomainError),
+    ("forecast", "after", "horizon times", "s = 5.0", lambda: hf.forecast(FIT, 5.0, 100.0, [6.0, 4.0]),
+     np.array([6.0, 4.0]), lambda: hf.forecast(FIT, 5.0, 100.0, [NAN]), ParameterDomainError),
+    ("alpha2", "after", "tF", "t0 = 10.0", lambda: hf.alpha2(100.0, 1e5, 10.0, 9.0), 9.0,
+     lambda: hf.alpha2(100.0, 1e5, 10.0, NAN), ParameterDomainError),
+    ("conditional_mean", "not before", "t", "s = 3.0", lambda: hf.conditional_mean(2.0, 100.0, 3.0, 0.1, 0.45),
+     np.asarray(2.0), lambda: hf.conditional_mean(NAN, 100.0, 3.0, 0.1, 0.45), ParameterDomainError),
+    ("finite_dim_params.t0", "not before", "times", "t0 = 0.0", lambda: hf.finite_dim_params([-1.0, 1.0], PROCESS),
+     np.array([-1.0, 1.0]), lambda: hf.finite_dim_params([NAN], PROCESS), ParameterDomainError),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, name, origin, call, value",
+    [pytest.param(*row[1:6], id=row[0]) for row in ORDERING_SITES],
+)
+def test_every_site_raises_its_ordering_message(rule, name, origin, call, value):
+    with pytest.raises(OrderingError) as info:
+        call()
+    assert str(info.value) == ORDERINGS[rule].format(name=name, origin=origin, value=value)
+
+
+@pytest.mark.parametrize("call, error", [pytest.param(*row[6:], id=row[0]) for row in ORDERING_SITES])
+def test_a_nan_time_raises_what_its_site_checks_first(call, error):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error
